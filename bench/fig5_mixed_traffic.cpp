@@ -130,7 +130,6 @@ int main(int argc, char** argv) {
       "\nGap notes: the residual throughput gap to the limit comes from separable\n"
       "allocation (mSA-I/mSA-II) and XY load imbalance, as in the paper; our\n"
       "textbook baseline saturates somewhat higher than the authors' pre-layout\n"
-      "baseline sims, so the improvement factor lands below the paper's 2.1x\n"
-      "(see EXPERIMENTS.md).\n");
+      "baseline sims, so the improvement factor lands below the paper's 2.1x.\n");
   return 0;
 }

@@ -96,7 +96,7 @@ int main() {
   std::printf(
       "\nNotes: our event-count model also credits B->C with large datapath and\n"
       "buffer savings (one tree flit replaces 15 unicasts), so the A->D total\n"
-      "reduction exceeds the paper's 38.2%% -- see EXPERIMENTS.md discussion.\n"
+      "reduction exceeds the paper's 38.2%%.\n"
       "Broadcasts in C/D share bandwidth until forced to fork, which is the\n"
       "mechanism behind every row of this figure (paper Sec 3.3/3.4).\n");
   return 0;

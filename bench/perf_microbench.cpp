@@ -62,25 +62,6 @@ void BM_Fig5MixedLowLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_Fig5MixedLowLoad)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-/// Per-port activity gating (docs/PERF.md Layer 5) at the same low-load
-/// point: both rows run with router-level gating on; Arg 0 disables the
-/// per-port wake bits (an awake router sweeps all five ports), Arg 1
-/// enables them (phases visit only ports with internal work or a
-/// delivery). Low load is where port granularity pays -- an awake router
-/// typically has traffic on one or two ports. Results are bit-identical
-/// across the two rows (tests/test_gating_equivalence.cpp).
-void BM_Fig5MixedLowLoadPort(benchmark::State& state) {
-  NetworkConfig cfg = NetworkConfig::proposed(4);
-  cfg.traffic.pattern = TrafficPattern::MixedPaper;
-  cfg.traffic.identical_prbs = true;
-  cfg.router.port_gating = state.range(0) != 0;
-  run_cycles(state, cfg, 0.05);
-}
-BENCHMARK(BM_Fig5MixedLowLoadPort)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_Proposed4x4BroadcastSaturated(benchmark::State& state) {
   NetworkConfig cfg = NetworkConfig::proposed(4);
   cfg.traffic.pattern = TrafficPattern::BroadcastOnly;

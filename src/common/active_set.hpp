@@ -49,7 +49,7 @@ class ActiveList {
   /// inserted during the sweep are not visited this pass (they joined for
   /// the next cycle). Visit order is insertion order and compaction is
   /// stable, but callers must not depend on it: all per-entry work this
-  /// list carries is order-independent (see Network::step_gated).
+  /// list carries is order-independent (see Network::span_begin).
   template <typename Keep>
   void sweep(Keep&& keep) {
     size_t w = 0;
@@ -74,18 +74,9 @@ class ActiveList {
 struct WakeHook {
   DestMask* mask = nullptr;
   int bit = 0;
-  /// Optional port-granular wake target: a storage word of the receiving
-  /// router's per-port wake mask (BitMask::word_ptr) plus the arriving
-  /// port's bit. Kept as a raw word pointer so this header needs no
-  /// dependency on the mask's width; only the owning router ever reads or
-  /// clears the word, and every channel that writes it is owned by the same
-  /// span, so parallel stepping stays race-free (docs/PERF.md Layer 5).
-  uint64_t* port_word = nullptr;
-  uint64_t port_bits = 0;
 
   void fire() const {
     if (mask != nullptr) mask->set(bit);
-    if (port_word != nullptr) *port_word |= port_bits;
   }
 };
 

@@ -57,28 +57,33 @@ Network::Network(const NetworkConfig& cfg)
   // pristine networks keep the fault-free fast path, bit for bit).
   fault_state_.init(geom_, cfg.fault);
 
-  // Column-span partition for intra-network parallel stepping. The span
-  // COUNT is fixed by the config (clamped to one span per column), so
+  // Column-span step schedule; serial stepping is the one-span case. The
+  // span COUNT is fixed by the config (clamped to one span per column), so
   // results depend only on step_threads, never on how many workers the
   // budget actually grants.
-  const int spans = SpanPartition::clamp_spans(geom_, cfg.step_threads);
-  if (spans > 1) {
-    part_ = SpanPartition(geom_, spans);
-    spans_.resize(static_cast<size_t>(spans));
-    for (int s = 0; s < spans; ++s) {
-      StepSpan& sp = spans_[static_cast<size_t>(s)];
-      sp.nodes = part_.nodes_of(s);
-      sp.metrics = std::make_unique<Metrics>(geom_);
-      sp.metrics->set_shared(&metrics_);
-      // Per-cycle worst case per node: one packet submission plus the local
-      // flit deliveries of a NIC-duplicated broadcast in the inject phase,
-      // one drained flit in the eject phase. 8 covers both with slack. A
-      // faulted network additionally retires router-phase drop events -- up
-      // to one per input VC per node per cycle.
-      sp.metrics->reserve_capture(
-          sp.nodes.size() *
-          (cfg.fault.empty() ? 8 : 8 + kNumPorts * kMaxTotalVcs));
+  NOC_EXPECTS(n <= DestMask::kCapacity);  // one awake bit per node
+  part_ = SpanPartition(geom_,
+                        SpanPartition::clamp_spans(geom_, cfg.step_threads));
+  spans_.resize(static_cast<size_t>(part_.num_spans()));
+  const bool sharded = spans_.size() > 1;
+  for (int s = 0; s < part_.num_spans(); ++s) {
+    StepSpan& sp = spans_[static_cast<size_t>(s)];
+    for (NodeId node : part_.nodes_of(s)) sp.owned.set(node);
+    if (!sharded) {
+      sp.metrics = &metrics_;
+      continue;
     }
+    sp.shard = std::make_unique<Metrics>(geom_);
+    sp.shard->set_shared(&metrics_);
+    // Per-cycle worst case per node: one packet submission plus the local
+    // flit deliveries of a NIC-duplicated broadcast in the inject phase,
+    // one drained flit in the eject phase. 8 covers both with slack. A
+    // faulted network additionally retires router-phase drop events -- up
+    // to one per input VC per node per cycle.
+    sp.shard->reserve_capture(
+        static_cast<size_t>(sp.owned.count()) *
+        (cfg.fault.empty() ? 8 : 8 + kNumPorts * kMaxTotalVcs));
+    sp.metrics = sp.shard.get();
   }
   // Telemetry sink (docs/OBSERVABILITY.md). Packet-lifecycle tracing
   // appends to one shared event buffer from router/NIC hooks, which run on
@@ -88,23 +93,16 @@ Network::Network(const NetworkConfig& cfg)
   // the main thread after the merge.
   if (cfg.telemetry.enabled) {
     telemetry_ = std::make_unique<Telemetry>(n, cfg.telemetry);
-    if (!spans_.empty()) telemetry_->disable_tracing();
+    if (sharded) telemetry_->disable_tracing();
     metrics_.set_telemetry(telemetry_.get());
   }
 
-  // Each component records events into its owning span's shards; in serial
-  // mode everything points at the globals, exactly as before.
+  // Each component records events into its owning span's sinks: the
+  // globals with one span, the span's shards with more.
   auto energy_for = [&](NodeId node) {
-    return spans_.empty() ? &energy_
-                          : &spans_[static_cast<size_t>(
-                                part_.span_of_node(node))].energy;
+    return sharded ? &span_of(node).energy : &energy_;
   };
-  auto metrics_for = [&](NodeId node) {
-    return spans_.empty()
-               ? &metrics_
-               : spans_[static_cast<size_t>(part_.span_of_node(node))]
-                     .metrics.get();
-  };
+  auto metrics_for = [&](NodeId node) { return span_of(node).metrics; };
 
   routers_.reserve(static_cast<size_t>(n));
   sources_.reserve(static_cast<size_t>(n));
@@ -152,30 +150,8 @@ Network::Network(const NetworkConfig& cfg)
   // With gating, each channel learns which component its arrivals must wake;
   // wake bits live in the receiver's owning span so every mask write during
   // a parallel step stays worker-local.
-  auto router_mask = [&](NodeId r) {
-    return spans_.empty()
-               ? &router_awake_
-               : &spans_[static_cast<size_t>(part_.span_of_node(r))]
-                      .router_awake;
-  };
   auto router_wake = [&](NodeId r) {
-    return gated ? WakeHook{router_mask(r), r} : WakeHook{};
-  };
-  // Per-port wake refinement (docs/PERF.md Layer 5): a channel toward
-  // router r arrives at exactly one input port, so its hook also ORs that
-  // port's bit into r's wake word -- the ticking router then sweeps only
-  // ports with work. Channels fire during the receiver-owned channel sweep
-  // (or the same node's inject phase for the latency-0 NIC lookahead), both
-  // before the router pass, so the bits are complete when r ticks; in
-  // parallel mode the channel and the word share r's span, so the raw-word
-  // OR stays worker-local.
-  auto router_port_wake = [&](NodeId r, PortDir in_at_r) {
-    WakeHook h = router_wake(r);
-    if (gated && cfg.router.port_gating) {
-      h.port_word = routers_[static_cast<size_t>(r)]->arm_port_wake();
-      h.port_bits = uint64_t{1} << port_index(in_at_r);
-    }
-    return h;
+    return gated ? WakeHook{&span_of(r).router_awake, r} : WakeHook{};
   };
   auto wire_edge = [&](NodeId a, PortDir a_out, NodeId b) {
     const PortDir b_out = opposite(a_out);
@@ -193,12 +169,12 @@ Network::Network(const NetworkConfig& cfg)
       la_ep_.push_back({a, b});
       la_ep_.push_back({b, a});
     }
-    f_ab->set_wake_target(router_port_wake(b, b_out));
-    f_ba->set_wake_target(router_port_wake(a, a_out));
-    c_ab->set_wake_target(router_port_wake(b, b_out));
-    c_ba->set_wake_target(router_port_wake(a, a_out));
-    if (l_ab != nullptr) l_ab->set_wake_target(router_port_wake(b, b_out));
-    if (l_ba != nullptr) l_ba->set_wake_target(router_port_wake(a, a_out));
+    f_ab->set_wake_target(router_wake(b));
+    f_ba->set_wake_target(router_wake(a));
+    c_ab->set_wake_target(router_wake(b));
+    c_ba->set_wake_target(router_wake(a));
+    if (l_ab != nullptr) l_ab->set_wake_target(router_wake(b));
+    if (l_ba != nullptr) l_ba->set_wake_target(router_wake(a));
 
     Router::PortChannels pa;  // router a, port a_out
     pa.flit_out = f_ab;
@@ -229,18 +205,6 @@ Network::Network(const NetworkConfig& cfg)
 
   // NIC wiring through each router's Local port. All five channels stay
   // inside the node and therefore inside its span.
-  auto inject_mask = [&](NodeId node) {
-    return spans_.empty()
-               ? &inject_awake_
-               : &spans_[static_cast<size_t>(part_.span_of_node(node))]
-                      .inject_awake;
-  };
-  auto eject_mask = [&](NodeId node) {
-    return spans_.empty()
-               ? &eject_awake_
-               : &spans_[static_cast<size_t>(part_.span_of_node(node))]
-                      .eject_awake;
-  };
   for (NodeId node = 0; node < n; ++node) {
     auto* f_nr = make_channel(flit_channels_, 1);   // NIC -> router
     auto* f_rn = make_channel(flit_channels_, 1);   // router -> NIC
@@ -253,14 +217,14 @@ Network::Network(const NetworkConfig& cfg)
     credit_ep_.push_back({node, node});
     if (bypass) la_ep_.push_back({node, node});
     if (gated) {
-      f_nr->set_wake_target(router_port_wake(node, PortDir::Local));
-      f_rn->set_wake_target({eject_mask(node), node});
-      c_rn->set_wake_target({inject_mask(node), node});
-      c_nr->set_wake_target(router_port_wake(node, PortDir::Local));
+      f_nr->set_wake_target(router_wake(node));
+      f_rn->set_wake_target({&span_of(node).eject_awake, node});
+      c_rn->set_wake_target({&span_of(node).inject_awake, node});
+      c_nr->set_wake_target(router_wake(node));
       // Latency 0: the wake fires at send time, during the NIC injection
       // phase, so the router sees the lookahead the same cycle.
       if (l_nr != nullptr)
-        l_nr->set_wake_target(router_port_wake(node, PortDir::Local));
+        l_nr->set_wake_target(router_wake(node));
     }
 
     Router::PortChannels pl;
@@ -283,7 +247,7 @@ Network::Network(const NetworkConfig& cfg)
 
   setup_activity();
 
-  if (!spans_.empty()) {
+  if (sharded) {
     // Lease extra workers from the shared budget for this network's
     // lifetime. A lease of 0 (budget exhausted, nested parallelism) leaves
     // a one-worker team: the spans are then stepped inline, still through
@@ -300,83 +264,87 @@ Network::~Network() {
 }
 
 void Network::setup_activity() {
-  const int n = geom_.num_nodes();
-  NOC_EXPECTS(n <= DestMask::kCapacity);  // one awake bit per node
   const bool gated = cfg_.activity_gating;
-  const bool parallel = !spans_.empty();
 
   // Contiguous channel ids per pool so the active-list sweep can recover
-  // the typed pointer from the id alone. The in-flight counter is installed
-  // unconditionally: quiescent() relies on it in both modes.
-  //
-  // In parallel mode every channel is owned by its RECEIVER's span: it
-  // registers on that span's active list and items counter, and a channel
-  // whose sender lives in a different span is the boundary case -- it
-  // becomes deferred (double-buffered sends committed by the owner after
-  // the compute barrier).
+  // the typed pointer from the id alone. Every channel is owned by its
+  // RECEIVER's span: it registers on that span's active list and items
+  // counter (installed in both gating modes: quiescent() relies on it),
+  // and a channel whose sender lives in a different span is the boundary
+  // case -- it becomes deferred (double-buffered sends committed by the
+  // owner after the compute barrier).
   const int total = num_channels();
-  chan_active_.init(total);
   for (auto& sp : spans_) sp.active.init(total);
+  credit_id_base_ = static_cast<int>(flit_channels_.size());
+  la_id_base_ = credit_id_base_ + static_cast<int>(credit_channels_.size());
 
-  auto install = [&](auto& ch, const std::pair<NodeId, NodeId>& ep, int id,
-                     auto cross_of) {
-    if (!parallel) {
-      ch.set_activity(gated ? &chan_active_ : nullptr, id, &chan_items_);
-      return;
-    }
-    StepSpan& sp =
-        spans_[static_cast<size_t>(part_.span_of_node(ep.second))];
-    ch.set_activity(gated ? &sp.active : nullptr, id, &sp.items);
-    sp.channels.push_back(id);
-    if (part_.crosses(ep.first, ep.second)) {
-      ch.set_deferred(true);
-      cross_of(sp).push_back(&ch);
+  auto install = [&](auto& pool, const auto& eps, int id_base, auto owned,
+                     auto cross) {
+    for (size_t i = 0; i < pool.size(); ++i) {
+      StepSpan& sp = span_of(eps[i].second);
+      pool[i].set_activity(gated ? &sp.active : nullptr,
+                           id_base + static_cast<int>(i), &sp.items);
+      (sp.*owned).push_back(&pool[i]);
+      if (part_.crosses(eps[i].first, eps[i].second)) {
+        pool[i].set_deferred(true);
+        (sp.*cross).push_back(&pool[i]);
+      }
     }
   };
-  int id = 0;
-  for (size_t i = 0; i < flit_channels_.size(); ++i, ++id)
-    install(flit_channels_[i], flit_ep_[i], id,
-            [](StepSpan& sp) -> auto& { return sp.cross_flit; });
-  credit_id_base_ = id;
-  for (size_t i = 0; i < credit_channels_.size(); ++i, ++id)
-    install(credit_channels_[i], credit_ep_[i], id,
-            [](StepSpan& sp) -> auto& { return sp.cross_credit; });
-  la_id_base_ = id;
-  for (size_t i = 0; i < la_channels_.size(); ++i, ++id)
-    install(la_channels_[i], la_ep_[i], id,
-            [](StepSpan& sp) -> auto& { return sp.cross_la; });
+  install(flit_channels_, flit_ep_, 0, &StepSpan::flit, &StepSpan::cross_flit);
+  install(credit_channels_, credit_ep_, credit_id_base_, &StepSpan::credit,
+          &StepSpan::cross_credit);
+  install(la_channels_, la_ep_, la_id_base_, &StepSpan::la,
+          &StepSpan::cross_la);
 
+  const int n = geom_.num_nodes();
   inject_wake_at_.assign(static_cast<size_t>(n), kCycleNever);
   // Everything starts awake; idle components fall asleep after their first
   // tick, which keeps cycle 0 identical to the ungated phase walk.
-  router_awake_ = inject_awake_ = eject_awake_ = DestMask::first_n(n);
-  for (auto& sp : spans_) {
-    DestMask m;
-    for (NodeId node : sp.nodes) m.set(node);
-    sp.router_awake = sp.inject_awake = sp.eject_awake = m;
-  }
+  for (auto& sp : spans_)
+    sp.router_awake = sp.inject_awake = sp.eject_awake = sp.owned;
 
   if (gated) {
     for (NodeId node = 0; node < n; ++node) {
-      DestMask* mask =
-          parallel ? &spans_[static_cast<size_t>(part_.span_of_node(node))]
-                          .inject_awake
-                   : &inject_awake_;
-      const WakeHook inject{mask, node};
+      const WakeHook inject{&span_of(node).inject_awake, node};
       nics_[static_cast<size_t>(node)]->set_inject_wake_hook(inject);
       sources_[static_cast<size_t>(node)]->set_wake_hook(inject);
     }
   }
 }
 
+// ---------------------------------------------------------------------------
+// The step schedule (docs/PERF.md Layers 3-4).
+//
+// Per cycle, with barriers between the phases when a worker team runs it:
+//
+//   A. compute  -- each span runs its timed wakes, channel deliveries,
+//      NIC-inject / router / NIC-eject passes. Every write lands in
+//      span-owned state; sends on cross-span channels only stage.
+//   B. commit   -- each owner replays the messages other spans staged into
+//      its boundary channels, through the normal send path.
+//   C. merge    (main thread) -- drain per-span energy shards (integer adds,
+//      span order) and replay captured metrics events in exact serial order
+//      (inject phase before eject phase, ascending node within each).
+//
+// Serial stepping is this schedule with one span: nothing crosses, the
+// components write the globals directly, and B and C are no-ops.
+// Bit-identity across span counts holds because every within-cycle wake is
+// intra-node, every cross-node interaction crosses a latency>=1 channel
+// (visible only after the next cycle's begin_cycle), and phase C
+// reconstructs the serial call order of all order-sensitive accumulation.
+
 void Network::step(Cycle now) {
   apply_faults(now);
-  if (!spans_.empty())
-    step_parallel(now);
-  else if (cfg_.activity_gating)
-    step_gated(now);
-  else
-    step_full(now);
+  flush_external_captures();
+  if (team_ != nullptr && team_->workers() > 1 && !trace_recording_) {
+    StepCtx ctx{this, now};
+    team_->run(&Network::compute_thunk, &ctx);
+    team_->run(&Network::commit_thunk, &ctx);
+  } else {
+    step_inline(now);
+  }
+  merge_spans();
   if (telemetry_ != nullptr && telemetry_->want_sample(now))
     sample_telemetry(now);
   ++energy_.cycles;
@@ -395,8 +363,6 @@ void Network::sample_telemetry(Cycle now) {
   // determinism comparisons in tests/test_gating_equivalence.cpp.
   if (!cfg_.activity_gating) {
     s.awake_routers = geom_.num_nodes();
-  } else if (spans_.empty()) {
-    s.awake_routers = router_awake_.count();
   } else {
     for (const auto& sp : spans_) s.awake_routers += sp.router_awake.count();
   }
@@ -426,77 +392,6 @@ void Network::apply_faults(Cycle now) {
   }
 }
 
-void Network::step_full(Cycle now) {
-  for (auto& ch : flit_channels_) ch.begin_cycle(now);
-  for (auto& ch : credit_channels_) ch.begin_cycle(now);
-  for (auto& ch : la_channels_) ch.begin_cycle(now);
-  for (auto& nic : nics_) nic->tick_inject(now);
-  for (auto& r : routers_) r->tick(now);
-  for (auto& nic : nics_) nic->tick_eject(now);
-}
-
-void Network::step_gated(Cycle now) {
-  // 0. Timed wake-ups: sources that promised a future fire cycle.
-  if (next_timed_wake_ <= now) {
-    next_timed_wake_ = kCycleNever;
-    const NodeId n = geom_.num_nodes();
-    for (NodeId i = 0; i < n; ++i) {
-      Cycle& at = inject_wake_at_[static_cast<size_t>(i)];
-      if (at <= now) {
-        inject_awake_.set(i);
-        at = kCycleNever;
-      } else if (at < next_timed_wake_) {
-        next_timed_wake_ = at;
-      }
-    }
-  }
-
-  // 1. Channels holding messages deliver; newly visible arrivals wake their
-  //    receivers (this runs before every component phase, so same-cycle
-  //    consumption is guaranteed). Fully drained channels drop off the list
-  //    -- their slots are all empty, so skipping begin_cycle is safe (see
-  //    Channel's activity contract). Per-entry work is order-independent:
-  //    begin_cycle touches only the channel itself and wake bits are ORed.
-  chan_active_.sweep([&](int id) { return begin_channel(id, now); });
-
-  // 2. NIC injection halves, ascending node id (the phase-walk order, so
-  //    shared-accumulator metrics see identical floating-point ordering).
-  //    A NIC stays awake while it holds queued work or its source may fire
-  //    next cycle; otherwise it parks, with a timed wake if the source
-  //    promised a future fire.
-  const DestMask inject_pass = inject_awake_;
-  inject_pass.for_each([&](int node) {
-    const auto i = static_cast<size_t>(node);
-    nics_[i]->tick_inject(now);
-    if (nics_[i]->inject_busy()) return;
-    const Cycle wake = sources_[i]->next_fire_cycle(now + 1);
-    if (wake <= now + 1) return;
-    inject_awake_.clear(node);
-    // Overwrite unconditionally: an early hook wake may have left a stale
-    // earlier entry that would otherwise fire a pointless timed wake.
-    inject_wake_at_[i] = wake;
-    if (wake < next_timed_wake_) next_timed_wake_ = wake;
-  });
-
-  // 3. Routers. Skipped ticks are exact no-ops for idle routers (no
-  //    arbiter state advances without requests; the lookahead rotation is
-  //    cycle-derived), so sleeping preserves bit-identical metrics.
-  const DestMask router_pass = router_awake_;
-  router_pass.for_each([&](int node) {
-    const auto i = static_cast<size_t>(node);
-    routers_[i]->tick(now);
-    if (routers_[i]->idle()) router_awake_.clear(node);
-  });
-
-  // 4. NIC ejection halves.
-  const DestMask eject_pass = eject_awake_;
-  eject_pass.for_each([&](int node) {
-    const auto i = static_cast<size_t>(node);
-    nics_[i]->tick_eject(now);
-    if (!nics_[i]->eject_busy()) eject_awake_.clear(node);
-  });
-}
-
 bool Network::begin_channel(int id, Cycle now) {
   if (id < credit_id_base_) {
     auto& ch = flit_channels_[static_cast<size_t>(id)];
@@ -513,67 +408,37 @@ bool Network::begin_channel(int id, Cycle now) {
   return ch.stored() > 0;
 }
 
-// ---------------------------------------------------------------------------
-// Intra-network parallel stepping (docs/PERF.md Layer 4).
-//
-// Schedule per cycle, with barriers between the phases:
-//
-//   A. compute  (parallel) -- each worker runs its spans' timed wakes,
-//      channel deliveries, NIC-inject / router / NIC-eject passes. Every
-//      write lands in span-owned state; sends on cross-span channels only
-//      stage.
-//   B. commit   (parallel) -- each owner replays the messages other spans
-//      staged into its boundary channels, through the normal send path.
-//   C. merge    (main thread) -- drain per-span energy shards (integer adds,
-//      span order) and replay captured metrics events in exact serial order
-//      (inject phase before eject phase, ascending node within each).
-//
-// Bit-identity to serial stepping holds because every within-cycle wake is
-// intra-node, every cross-node interaction crosses a latency>=1 channel
-// (visible only after the next cycle's begin_cycle), and phase C
-// reconstructs the serial call order of all order-sensitive accumulation.
-
-void Network::step_parallel(Cycle now) {
-  flush_external_captures();
-  if (team_->workers() > 1 && !trace_recording_) {
-    StepCtx ctx{this, now};
-    team_->run(&Network::compute_thunk, &ctx);
-    team_->run(&Network::commit_thunk, &ctx);
-  } else {
-    step_spans_inline(now);
-  }
-  merge_spans();
-}
-
 void Network::compute_thunk(void* ctx, int worker) {
   auto* c = static_cast<StepCtx*>(ctx);
   Network& net = *c->net;
-  const int workers = net.team_->workers();
-  const int spans = static_cast<int>(net.spans_.size());
+  const auto workers = static_cast<size_t>(net.team_->workers());
   // Strided span -> worker assignment: the worker count changes only the
   // schedule, never which span owns what, so results are grant-invariant.
-  for (int s = worker; s < spans; s += workers) net.span_compute(s, c->now);
+  for (auto s = static_cast<size_t>(worker); s < net.spans_.size();
+       s += workers)
+    net.span_compute(net.spans_[s], c->now);
 }
 
 void Network::commit_thunk(void* ctx, int worker) {
   auto* c = static_cast<StepCtx*>(ctx);
   Network& net = *c->net;
-  const int workers = net.team_->workers();
-  const int spans = static_cast<int>(net.spans_.size());
-  for (int s = worker; s < spans; s += workers) net.span_commit(s, c->now);
+  const auto workers = static_cast<size_t>(net.team_->workers());
+  for (auto s = static_cast<size_t>(worker); s < net.spans_.size();
+       s += workers)
+    net.span_commit(net.spans_[s], c->now);
 }
 
-void Network::span_begin(int s, Cycle now) {
-  StepSpan& sp = spans_[static_cast<size_t>(s)];
+void Network::span_begin(StepSpan& sp, Cycle now) {
   if (!cfg_.activity_gating) {
-    for (int id : sp.channels) begin_channel(id, now);
+    for (auto* ch : sp.flit) ch->begin_cycle(now);
+    for (auto* ch : sp.credit) ch->begin_cycle(now);
+    for (auto* ch : sp.la) ch->begin_cycle(now);
     return;
   }
-  // Timed injection wake-ups, then the span's active channels (the per-span
-  // mirror of step_gated's steps 0 and 1).
+  // 0. Timed wake-ups: sources that promised a future fire cycle.
   if (sp.next_timed_wake <= now) {
     sp.next_timed_wake = kCycleNever;
-    for (NodeId i : sp.nodes) {
+    sp.owned.for_each([&](int i) {
       Cycle& at = inject_wake_at_[static_cast<size_t>(i)];
       if (at <= now) {
         sp.inject_awake.set(i);
@@ -581,24 +446,37 @@ void Network::span_begin(int s, Cycle now) {
       } else if (at < sp.next_timed_wake) {
         sp.next_timed_wake = at;
       }
-    }
+    });
   }
+  // 1. Channels holding messages deliver; newly visible arrivals wake their
+  //    receivers (this runs before every component phase, so same-cycle
+  //    consumption is guaranteed). Fully drained channels drop off the list
+  //    -- their slots are all empty, so skipping begin_cycle is safe (see
+  //    Channel's activity contract). Per-entry work is order-independent:
+  //    begin_cycle touches only the channel itself and wake bits are ORed.
   sp.active.sweep([&](int id) { return begin_channel(id, now); });
 }
 
+// 2. NIC injection halves. A NIC stays awake while it holds queued work or
+//    its source may fire next cycle; otherwise it parks, with a timed wake
+//    if the source promised a future fire.
 void Network::span_inject_tick(StepSpan& sp, int node, Cycle now) {
   const auto i = static_cast<size_t>(node);
   sp.metrics->set_capture_point(kCaptureInject, node);
   nics_[i]->tick_inject(now);
-  if (!cfg_.activity_gating) return;
-  if (nics_[i]->inject_busy()) return;
+  if (!cfg_.activity_gating || nics_[i]->inject_busy()) return;
   const Cycle wake = sources_[i]->next_fire_cycle(now + 1);
   if (wake <= now + 1) return;
   sp.inject_awake.clear(node);
+  // Overwrite unconditionally: an early hook wake may have left a stale
+  // earlier entry that would otherwise fire a pointless timed wake.
   inject_wake_at_[i] = wake;  // element owned by this span: race-free
   if (wake < sp.next_timed_wake) sp.next_timed_wake = wake;
 }
 
+// 3. Routers. Skipped ticks are exact no-ops for idle routers (no arbiter
+//    state advances without requests; the lookahead rotation is
+//    cycle-derived), so sleeping preserves bit-identical metrics.
 void Network::span_router_tick(StepSpan& sp, int node, Cycle now) {
   const auto i = static_cast<size_t>(node);
   sp.metrics->set_capture_point(kCaptureRouter, node);
@@ -606,6 +484,7 @@ void Network::span_router_tick(StepSpan& sp, int node, Cycle now) {
   if (cfg_.activity_gating && routers_[i]->idle()) sp.router_awake.clear(node);
 }
 
+// 4. NIC ejection halves.
 void Network::span_eject_tick(StepSpan& sp, int node, Cycle now) {
   const auto i = static_cast<size_t>(node);
   sp.metrics->set_capture_point(kCaptureEject, node);
@@ -614,71 +493,46 @@ void Network::span_eject_tick(StepSpan& sp, int node, Cycle now) {
     sp.eject_awake.clear(node);
 }
 
-void Network::span_compute(int s, Cycle now) {
-  StepSpan& sp = spans_[static_cast<size_t>(s)];
-  span_begin(s, now);
-  if (cfg_.activity_gating) {
-    sp.pass_scratch = sp.inject_awake;
-    sp.pass_scratch.for_each(
-        [&](int node) { span_inject_tick(sp, node, now); });
-    sp.pass_scratch = sp.router_awake;
-    sp.pass_scratch.for_each(
-        [&](int node) { span_router_tick(sp, node, now); });
-    sp.pass_scratch = sp.eject_awake;
-    sp.pass_scratch.for_each(
-        [&](int node) { span_eject_tick(sp, node, now); });
-  } else {
-    for (NodeId node : sp.nodes) span_inject_tick(sp, node, now);
-    for (NodeId node : sp.nodes) span_router_tick(sp, node, now);
-    for (NodeId node : sp.nodes) span_eject_tick(sp, node, now);
-  }
+// Each pass walks a snapshot of its mask, in ascending node id -- the
+// phase-walk order, so shared-accumulator metrics see identical
+// floating-point ordering.
+void Network::span_compute(StepSpan& sp, Cycle now) {
+  span_begin(sp, now);
+  pass_mask(sp, sp.inject_awake)
+      .for_each([&](int node) { span_inject_tick(sp, node, now); });
+  pass_mask(sp, sp.router_awake)
+      .for_each([&](int node) { span_router_tick(sp, node, now); });
+  pass_mask(sp, sp.eject_awake)
+      .for_each([&](int node) { span_eject_tick(sp, node, now); });
 }
 
-void Network::span_commit(int s, Cycle now) {
-  StepSpan& sp = spans_[static_cast<size_t>(s)];
+void Network::span_commit(StepSpan& sp, Cycle now) {
   for (auto* ch : sp.cross_flit) ch->commit_staged(now);
   for (auto* ch : sp.cross_credit) ch->commit_staged(now);
   for (auto* ch : sp.cross_la) ch->commit_staged(now);
 }
 
-// Single-threaded drive of the sharded datapath, used when the budget
-// granted no helpers and while recording traces (NIC recorders append in
-// tick order, so the passes must walk nodes in GLOBAL ascending order to
-// keep recorded traces identical to serial runs). Span execution order
-// cannot affect results -- phase A is span-isolated -- so this produces
-// exactly what the threaded schedule produces.
-void Network::step_spans_inline(Cycle now) {
-  const int spans = static_cast<int>(spans_.size());
-  const int n = geom_.num_nodes();
-  for (int s = 0; s < spans; ++s) span_begin(s, now);
-  auto owner = [&](NodeId node) -> StepSpan& {
-    return spans_[static_cast<size_t>(part_.span_of_node(node))];
+// Single-threaded drive of the span schedule: every serial step, and
+// multi-span networks when the budget granted no helpers or while
+// recording traces. Each pass walks the union of the spans' masks in
+// GLOBAL ascending node order, because NIC trace recorders append in tick
+// order. Span execution order cannot otherwise affect results -- phase A
+// is span-isolated -- so this produces exactly what the threaded schedule
+// produces.
+void Network::step_inline(Cycle now) {
+  for (auto& sp : spans_) span_begin(sp, now);
+  auto pass = [&](DestMask StepSpan::*awake, auto&& tick) {
+    DestMask walk;
+    for (const auto& sp : spans_) walk |= pass_mask(sp, sp.*awake);
+    walk.for_each([&](int node) { tick(span_of(node), node); });
   };
-  if (cfg_.activity_gating) {
-    for (auto& sp : spans_) sp.pass_scratch = sp.inject_awake;
-    for (NodeId node = 0; node < n; ++node) {
-      StepSpan& sp = owner(node);
-      if (sp.pass_scratch.test(node)) span_inject_tick(sp, node, now);
-    }
-    for (auto& sp : spans_) sp.pass_scratch = sp.router_awake;
-    for (NodeId node = 0; node < n; ++node) {
-      StepSpan& sp = owner(node);
-      if (sp.pass_scratch.test(node)) span_router_tick(sp, node, now);
-    }
-    for (auto& sp : spans_) sp.pass_scratch = sp.eject_awake;
-    for (NodeId node = 0; node < n; ++node) {
-      StepSpan& sp = owner(node);
-      if (sp.pass_scratch.test(node)) span_eject_tick(sp, node, now);
-    }
-  } else {
-    for (NodeId node = 0; node < n; ++node)
-      span_inject_tick(owner(node), node, now);
-    for (NodeId node = 0; node < n; ++node)
-      span_router_tick(owner(node), node, now);
-    for (NodeId node = 0; node < n; ++node)
-      span_eject_tick(owner(node), node, now);
-  }
-  for (int s = 0; s < spans; ++s) span_commit(s, now);
+  pass(&StepSpan::inject_awake,
+       [&](StepSpan& sp, int node) { span_inject_tick(sp, node, now); });
+  pass(&StepSpan::router_awake,
+       [&](StepSpan& sp, int node) { span_router_tick(sp, node, now); });
+  pass(&StepSpan::eject_awake,
+       [&](StepSpan& sp, int node) { span_eject_tick(sp, node, now); });
+  for (auto& sp : spans_) span_commit(sp, now);
 }
 
 // Packets submitted through a NIC between steps (tests, external drivers)
@@ -688,14 +542,15 @@ void Network::step_spans_inline(Cycle now) {
 // reproduces the serial bookkeeping exactly.
 void Network::flush_external_captures() {
   for (auto& sp : spans_) {
-    if (sp.metrics->captured_empty()) continue;
+    if (sp.shard == nullptr || sp.shard->captured_empty()) continue;
     for (int phase = 0; phase < kNumCapturePhases; ++phase)
-      for (const auto& e : sp.metrics->captured(phase)) metrics_.apply(e);
-    sp.metrics->clear_captured();
+      for (const auto& e : sp.shard->captured(phase)) metrics_.apply(e);
+    sp.shard->clear_captured();
   }
 }
 
 void Network::merge_spans() {
+  if (spans_.size() == 1) return;  // one span records into the globals
   // Deterministic merge, main thread. Energy shards are integer event
   // counts: span-ordered addition is exact. Metrics events replay in the
   // serial call order -- all inject-phase events before all eject-phase
@@ -709,14 +564,14 @@ void Network::merge_spans() {
   for (int phase = 0; phase < kNumCapturePhases; ++phase) {
     for (auto& sp : spans_) sp.replay_cursor = 0;
     for (NodeId node = 0; node < n; ++node) {
-      StepSpan& sp = spans_[static_cast<size_t>(part_.span_of_node(node))];
-      const auto& buf = sp.metrics->captured(phase);
+      StepSpan& sp = span_of(node);
+      const auto& buf = sp.shard->captured(phase);
       while (sp.replay_cursor < buf.size() &&
              buf[sp.replay_cursor].node == node)
         metrics_.apply(buf[sp.replay_cursor++]);
     }
   }
-  for (auto& sp : spans_) sp.metrics->clear_captured();
+  for (auto& sp : spans_) sp.shard->clear_captured();
 }
 
 void Network::record_trace(Trace* out) {
@@ -741,8 +596,21 @@ void Network::end_measurement_window(Cycle now) {
   for (auto& src : sources_) src->end_window(now);
 }
 
+std::vector<int> Network::span_channel_ids(int s) const {
+  const StepSpan& sp = spans_[static_cast<size_t>(s)];
+  std::vector<int> ids;
+  auto add = [&](const auto& owned, const auto& pool, int id_base) {
+    for (const auto* ch : owned)
+      ids.push_back(id_base + static_cast<int>(ch - pool.data()));
+  };
+  add(sp.flit, flit_channels_, 0);
+  add(sp.credit, credit_channels_, credit_id_base_);
+  add(sp.la, la_channels_, la_id_base_);
+  return ids;
+}
+
 int64_t Network::channel_items() const {
-  int64_t total = chan_items_;
+  int64_t total = 0;
   for (const auto& sp : spans_) total += sp.items;
   return total;
 }
@@ -751,8 +619,8 @@ bool Network::quiescent() const {
   if (metrics_.open_packets() != 0) return false;
   // The aggregate counter covers flit, credit AND lookahead channels: the
   // old flit-only scan let a drain phase end with a credit still on a wire,
-  // corrupting back-to-back measurement windows. In parallel mode the count
-  // is sharded per span.
+  // corrupting back-to-back measurement windows. The count is sharded per
+  // span.
   if (channel_items() != 0) return false;
   for (const auto& r : routers_)
     if (!r->idle()) return false;

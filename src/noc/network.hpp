@@ -8,22 +8,26 @@
 //   3. routers tick (credits -> ST/BW -> mSA-II -> mSA-I/VA)
 //   4. NIC ejection halves tick (drain flits the routers sent last cycle)
 
-// When activity gating is enabled (NetworkConfig::activity_gating, the
-// default), step() walks only the components that can possibly do work this
-// cycle: channels holding in-flight messages, routers with buffered or
-// latched state, NICs with queued packets / undrained flits, and NICs whose
+// Every step runs one schedule over column spans (src/noc/partition.hpp):
+// each span delivers its owned channels, then ticks its NIC injection
+// halves, routers and NIC ejection halves. Serial stepping is the
+// one-span schedule. With step_threads > 1 the mesh splits into several
+// spans stepped by a persistent worker team under a fixed two-phase
+// barrier schedule: compute span-local state, barrier, commit cross-span
+// channel sends, barrier, then merge per-span energy and metrics shards on
+// the main thread in deterministic span/node order. Results are
+// bit-identical to serial stepping for every pattern, workload, policy and
+// gating mode (docs/PERF.md Layer 4).
+//
+// Activity gating (NetworkConfig::activity_gating, the default) makes each
+// pass walk only the components that can possibly do work this cycle:
+// channels holding in-flight messages, routers with buffered or latched
+// state, NICs with queued packets / undrained flits, and NICs whose
 // TrafficSource may fire. Wake-up edges (message arrival, the latency-0
 // injection lookahead, source fire predictions, external submissions)
-// re-arm sleepers; metrics are bit-identical with gating on or off
-// (tests/test_gating_equivalence.cpp, docs/PERF.md).
-
-// With step_threads > 1 the mesh is partitioned into contiguous column
-// spans (src/noc/partition.hpp) stepped by a persistent worker team under a
-// fixed two-phase barrier schedule: compute span-local state, barrier,
-// commit cross-span channel sends, barrier, then merge per-span energy and
-// metrics shards on the main thread in deterministic span/node order.
-// Results are bit-identical to serial stepping for every pattern, workload,
-// policy and gating mode (docs/PERF.md Layer 4).
+// re-arm sleepers. Gating off walks an all-nodes mask through the same
+// loop; it is kept as the equivalence oracle, and metrics are
+// bit-identical either way (tests/test_gating_equivalence.cpp).
 
 #include <memory>
 #include <utility>
@@ -71,8 +75,8 @@ struct NetworkConfig {
 
   /// Activity-gated stepping (docs/PERF.md): idle routers, NICs and drained
   /// channels are skipped each cycle. Metrics are bit-identical either way
-  /// (enforced by tests/test_gating_equivalence.cpp); turning it off
-  /// retains the full phase-walk for comparison and debugging.
+  /// (enforced by tests/test_gating_equivalence.cpp); turning it off walks
+  /// every component, the oracle the gated walk is checked against.
   bool activity_gating = true;
 
   /// Intra-network parallel stepping (docs/PERF.md Layer 4): partition the
@@ -141,24 +145,19 @@ class Network : public Steppable {
   // ---- parallel-stepping introspection (tests, docs/PERF.md Layer 4) ----
 
   /// Number of column spans the step loop drives; 1 in serial mode.
-  int num_step_spans() const {
-    return spans_.empty() ? 1 : static_cast<int>(spans_.size());
-  }
+  int num_step_spans() const { return static_cast<int>(spans_.size()); }
   /// Workers actually running per step (after thread_budget clamping).
   int step_workers() const { return team_ ? team_->workers() : 1; }
-  /// The column partition (valid only when num_step_spans() > 1).
+  /// The column partition (a single span in serial mode).
   const SpanPartition& partition() const { return part_; }
   int num_channels() const {
     return static_cast<int>(flit_channels_.size() + credit_channels_.size() +
                             la_channels_.size());
   }
-  /// Channel ids owned by span `s` (owner = receiver's span).
-  const std::vector<int>& span_channel_ids(int s) const {
-    return spans_[static_cast<size_t>(s)].channels;
-  }
-  const std::vector<NodeId>& span_nodes(int s) const {
-    return spans_[static_cast<size_t>(s)].nodes;
-  }
+  /// Channel ids owned by span `s` (owner = receiver's span), ascending.
+  std::vector<int> span_channel_ids(int s) const;
+  /// Nodes owned by span `s`, ascending.
+  std::vector<NodeId> span_nodes(int s) const { return part_.nodes_of(s); }
   /// Deferred (cross-span) channels owned by span `s`.
   int span_cross_channel_count(int s) const {
     const StepSpan& sp = spans_[static_cast<size_t>(s)];
@@ -167,26 +166,35 @@ class Network : public Steppable {
   }
 
  private:
-  /// Everything one worker exclusively owns while stepping its column span:
-  /// the span's activity machinery mirrors the Network-level fields used in
-  /// serial mode, plus integer energy and capture-mode metrics shards that
-  /// the main thread drains each cycle in deterministic order. All scratch
-  /// is sized at partition time (zero-alloc invariant).
+  /// Everything one worker exclusively owns while stepping its column span.
+  /// Serial stepping is a single span that owns every node and channel, and
+  /// its components record straight into the global Metrics and
+  /// EnergyCounters. With more spans, components record into the span's
+  /// integer energy and capture-mode metrics shards, which the main thread
+  /// drains each cycle in deterministic order. All scratch is sized at
+  /// partition time (zero-alloc invariant).
   struct StepSpan {
-    std::vector<NodeId> nodes;  // ascending id order
-    std::vector<int> channels;  // owned channel ids (receiver in span)
-    std::vector<Channel<Flit>*> cross_flit;  // deferred channels owned here
-    std::vector<Channel<Credit>*> cross_credit;
-    std::vector<Channel<Lookahead>*> cross_la;
+    DestMask owned;  // the span's nodes: the ungated pass set
+    // Owned channels (receiver in span) per pool, and the deferred subset
+    // whose sender lives in another span.
+    std::vector<Channel<Flit>*> flit, cross_flit;
+    std::vector<Channel<Credit>*> credit, cross_credit;
+    std::vector<Channel<Lookahead>*> la, cross_la;
+    // Activity machinery (docs/PERF.md Layer 3). Owned channels register on
+    // `active` while holding messages; `items` counts their in-flight
+    // messages in both gating modes (quiescent() needs it). Awake bits are
+    // set by wake edges and cleared when a component's post-tick state
+    // shows it cannot act next cycle; next_timed_wake caches the earliest
+    // inject_wake_at_ entry of the span's nodes.
     ActiveList active;
     int64_t items = 0;
     DestMask router_awake;
     DestMask inject_awake;
     DestMask eject_awake;
-    DestMask pass_scratch;  // pre-tick snapshot of the mask being walked
     Cycle next_timed_wake = kCycleNever;
-    EnergyCounters energy;            // drained into the global every cycle
-    std::unique_ptr<Metrics> metrics; // capture shard of the shared Metrics
+    Metrics* metrics = nullptr;       // the global, or shard.get()
+    std::unique_ptr<Metrics> shard;   // capture shard (more than one span)
+    EnergyCounters energy;            // energy shard (more than one span)
     size_t replay_cursor = 0;
   };
 
@@ -198,26 +206,31 @@ class Network : public Steppable {
   template <typename T>
   Channel<T>* make_channel(std::vector<Channel<T>>& pool, int latency);
 
+  StepSpan& span_of(NodeId node) {
+    return spans_[static_cast<size_t>(part_.span_of_node(node))];
+  }
+  /// Nodes a pass visits: the awake set under activity gating, every owned
+  /// node without it.
+  DestMask pass_mask(const StepSpan& sp, const DestMask& awake) const {
+    return cfg_.activity_gating ? awake : sp.owned;
+  }
+
   void setup_activity();
   /// Apply fault-schedule events stamped <= now, pushing the updated
   /// dead-port masks / degrade flags into the affected routers. Runs on
-  /// the main thread at the top of step() in EVERY mode, before gating
-  /// decisions and before the span fan-out, so the schedule commutes with
-  /// activity gating and span decomposition.
+  /// the main thread at the top of step(), before gating decisions and
+  /// before the span fan-out, so the schedule commutes with activity
+  /// gating and span decomposition.
   void apply_faults(Cycle now);
   /// Append one time-series sample (main thread, end of step(), after the
-  /// parallel merge so the cumulative counters are whole-network values).
+  /// merge so the cumulative counters are whole-network values).
   void sample_telemetry(Cycle now);
-  void step_full(Cycle now);
-  void step_gated(Cycle now);
 
-  // Parallel stepping (spans_ non-empty).
-  void step_parallel(Cycle now);
-  void step_spans_inline(Cycle now);
+  void step_inline(Cycle now);
   bool begin_channel(int id, Cycle now);
-  void span_begin(int s, Cycle now);
-  void span_compute(int s, Cycle now);
-  void span_commit(int s, Cycle now);
+  void span_begin(StepSpan& sp, Cycle now);
+  void span_compute(StepSpan& sp, Cycle now);
+  void span_commit(StepSpan& sp, Cycle now);
   void span_inject_tick(StepSpan& sp, int node, Cycle now);
   void span_router_tick(StepSpan& sp, int node, Cycle now);
   void span_eject_tick(StepSpan& sp, int node, Cycle now);
@@ -250,35 +263,20 @@ class Network : public Steppable {
   std::vector<std::unique_ptr<TrafficSource>> sources_;
   std::vector<std::unique_ptr<Nic>> nics_;
 
-  // --- intra-network parallelism (docs/PERF.md Layer 4) ---
+  // --- the span schedule (docs/PERF.md Layers 3-4) ---
   SpanPartition part_;
-  std::vector<StepSpan> spans_;     // empty in serial mode
-  std::unique_ptr<StepTeam> team_;  // non-null iff spans_ non-empty
+  std::vector<StepSpan> spans_;     // one per column span; one when serial
+  std::unique_ptr<StepTeam> team_;  // non-null iff more than one span
   int budget_lease_ = 0;            // extra threads leased from thread_budget
   bool trace_recording_ = false;
-
-  // --- activity machinery (docs/PERF.md) ---
-  // Channels self-register here while holding messages; ids are assigned
-  // contiguously per pool (flit < credit < lookahead) so the sweep can
-  // dispatch without virtual calls. chan_items_ is maintained in both modes
-  // (quiescent() needs it); the rest only drives the gated step.
-  ActiveList chan_active_;
-  int64_t chan_items_ = 0;
+  // Channel ids are assigned contiguously per pool (flit < credit <
+  // lookahead) so a sweep can dispatch without virtual calls.
   int credit_id_base_ = 0;
   int la_id_base_ = 0;
-  // One awake bit per node (DestMask bitsets: the same multi-word per-node
-  // masks the datapath uses, sized to DestMask::kCapacity = 256 nodes).
-  // Bits are set by wake edges and cleared when a component's post-tick
-  // state shows it cannot act next cycle.
-  DestMask router_awake_;
-  DestMask inject_awake_;
-  DestMask eject_awake_;
   // Timed injection wake-ups for sources that promise a future fire cycle
   // (identical-PRBS intervals, trace records, closed-loop response due
-  // times); next_timed_wake_ caches the minimum so the per-cycle check is
-  // one compare.
+  // times), one entry per node; each is only touched by its node's span.
   std::vector<Cycle> inject_wake_at_;
-  Cycle next_timed_wake_ = kCycleNever;
 };
 
 }  // namespace noc

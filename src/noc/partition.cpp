@@ -15,6 +15,9 @@ SpanPartition::SpanPartition(const MeshGeometry& geom, int spans)
     for (int x = begin_col_[static_cast<size_t>(s)];
          x < begin_col_[static_cast<size_t>(s) + 1]; ++x)
       col_span_[static_cast<size_t>(x)] = s;
+  node_span_.resize(static_cast<size_t>(kx_) * static_cast<size_t>(ky_));
+  for (size_t id = 0; id < node_span_.size(); ++id)
+    node_span_[id] = col_span_[id % static_cast<size_t>(kx_)];
 }
 
 int SpanPartition::clamp_spans(const MeshGeometry& geom, int requested) {

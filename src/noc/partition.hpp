@@ -34,7 +34,7 @@ namespace noc {
 
 class SpanPartition {
  public:
-  /// Empty partition (serial network: no spans).
+  /// Empty partition (a placeholder until the Network builds its own).
   SpanPartition() = default;
 
   /// Split `geom` into `spans` contiguous column ranges, balanced to within
@@ -63,8 +63,11 @@ class SpanPartition {
     return col_span_[static_cast<size_t>(x)];
   }
 
-  /// Owner span of a node (row-major ids: column = id mod kx).
-  int span_of_node(NodeId node) const { return span_of_column(node % kx_); }
+  /// Owner span of a node (row-major ids: column = id mod kx). A table
+  /// lookup: the step loop asks once per ticked node.
+  int span_of_node(NodeId node) const {
+    return node_span_[static_cast<size_t>(node)];
+  }
 
   /// Node ids owned by span `s`, ascending (construction-time helper; the
   /// ascending order is what keeps per-span passes serial-equivalent).
@@ -81,6 +84,7 @@ class SpanPartition {
   int ky_ = 0;
   std::vector<int> col_span_;   // column -> span
   std::vector<int> begin_col_;  // span -> first column; size num_spans + 1
+  std::vector<int> node_span_;  // node -> span
 };
 
 }  // namespace noc

@@ -61,13 +61,6 @@ struct RouterConfig {
   /// feeds raw per-VC outport requests into its round-robin circuit and
   /// wastes switch cycles on credit-blocked VCs.
   bool actionable_sa1_requests = true;
-  /// Port-granular activity gating (docs/PERF.md Layer 5): under network
-  /// activity gating, a ticking router sweeps only ports holding internal
-  /// work or whose channels delivered this cycle (per-port wake bits set by
-  /// the channel hooks), instead of all 5 ports x all VCs. Pure scheduling
-  /// -- results are bit-identical either way. Ignored when the network runs
-  /// ungated (the full phase walk already visits everything).
-  bool port_gating = true;
   /// Routing policy (noc/route_policy.hpp, docs/ROUTING.md). The chip
   /// hardwires XY; YX is the mirror ablation; O1TURN and MinimalAdaptive
   /// load-balance unicasts over lane-partitioned VCs to attack the paper's
@@ -118,15 +111,6 @@ class Router {
   /// True when no flit is buffered or latched anywhere in this router.
   bool idle() const;
 
-  /// Arm per-port wake gating (RouterConfig::port_gating under a gated
-  /// network) and return the word the port-wake channel hooks OR their
-  /// arriving port's bit into (WakeHook::port_word). kNumPorts < 64, so
-  /// word 0 holds the whole mask.
-  uint64_t* arm_port_wake() {
-    port_wake_armed_ = true;
-    return wake_ports_.word_ptr(0);
-  }
-
   /// SoA busy-VC set (bit vc_bit(p, v) <=> input VC v of port p holds a
   /// packet); exposed for the zero-alloc / equivalence tests' cross-checks.
   const VcSetMask& busy_vcs() const { return busy_; }
@@ -146,9 +130,9 @@ class Router {
   /// lifecycle as attach_faults: set once at construction when
   /// TelemetryConfig::enabled, nullptr otherwise -- every hot-path hook is
   /// one untaken branch on this pointer. Stall counters are only ever
-  /// charged to busy VCs of swept ports, which makes the counts
-  /// bit-identical across activity gating, port gating, and parallel
-  /// stepping (a sleeping router has no busy VCs to charge).
+  /// charged to busy VCs, which makes the counts bit-identical across
+  /// activity gating and parallel stepping (a sleeping router has no busy
+  /// VCs to charge).
   void attach_telemetry(Telemetry* t) { telemetry_ = t; }
 
   /// The fault schedule changed the surviving topology (link kill or
@@ -207,11 +191,11 @@ class Router {
     std::optional<Flit> lt;
   };
 
-  // --- phases (each sweeps only ports set in `active`) ---
-  void apply_credits(Cycle now, const PortMask& active);
-  void phase_st_and_bw(Cycle now, const PortMask& active);
-  void phase_sa2(Cycle now, const PortMask& active);
-  void phase_sa1_va(Cycle now, const PortMask& active);
+  // --- phases ---
+  void apply_credits(Cycle now);
+  void phase_st_and_bw(Cycle now);
+  void phase_sa2(Cycle now);
+  void phase_sa1_va(Cycle now);
   /// Fault-mode drop-branch sweep (docs/FAULTS.md): consumes one flit per
   /// cycle per drop branch as if sent and counts the tail as a dropped
   /// delivery. Runs between ST/BW and mSA-II -- after this tick's ST latch
@@ -221,7 +205,7 @@ class Router {
   void fault_tick(Cycle now);
 
   // --- helpers ---
-  void process_lookaheads(Cycle now, const PortMask& active,
+  void process_lookaheads(Cycle now,
                           std::array<bool, kNumPorts>& out_claimed,
                           std::array<bool, kNumPorts>& in_claimed);
   void arbitrate_buffered(Cycle now,
@@ -293,10 +277,6 @@ class Router {
   uint32_t busy_slice(int port) const {
     return busy_.extract(port * kMaxTotalVcs, kMaxTotalVcs);
   }
-  /// Ports holding carried-over work: a busy VC, an ST/bypass latch, a
-  /// stage-2 candidate, or a pending LT. The complement may be skipped by a
-  /// port-gated tick unless a wake bit says a channel delivered.
-  PortMask internal_work_ports() const;
 
   NodeId node_;
   const MeshGeometry& geom_;
@@ -322,11 +302,6 @@ class Router {
   /// walk, idle(), and the mSA-I scan are word ops over this instead of
   /// 5x16 InputVc object walks.
   VcSetMask busy_;
-  /// Per-port wake bits (word 0 is the channel hooks' target): which ports
-  /// had a flit/credit/lookahead delivery this cycle. Snapshot-and-cleared
-  /// at the top of tick(); only meaningful when armed.
-  PortMask wake_ports_;
-  bool port_wake_armed_ = false;
 
   /// Persistent per-tick allocation scratch. Constructing a GrantList runs
   /// five GrantOut constructors (each zeroing a multi-word DestMask), which

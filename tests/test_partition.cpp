@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -143,6 +144,20 @@ TEST(NetworkPartition, SingleSpanIsSerial) {
   Network net(cfg);
   EXPECT_EQ(net.num_step_spans(), 1);
   EXPECT_EQ(net.step_workers(), 1);
+  // Serial stepping is the one-span schedule: that span owns every node
+  // and every channel, and nothing crosses a span boundary.
+  const int n = net.geom().num_nodes();
+  std::vector<NodeId> all_nodes(static_cast<size_t>(n));
+  std::iota(all_nodes.begin(), all_nodes.end(), 0);
+  EXPECT_EQ(net.span_nodes(0), all_nodes);
+  std::vector<int> all_channels(static_cast<size_t>(net.num_channels()));
+  std::iota(all_channels.begin(), all_channels.end(), 0);
+  EXPECT_EQ(net.span_channel_ids(0), all_channels);
+  EXPECT_EQ(net.span_cross_channel_count(0), 0);
+  ASSERT_EQ(net.partition().num_spans(), 1);
+  EXPECT_EQ(net.partition().columns_of(0), std::make_pair(0, 4));
+  for (NodeId node = 0; node < n; ++node)
+    EXPECT_EQ(net.partition().span_of_node(node), 0);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // every busy VC, including ones whose stage-2 request cannot possibly win
 // this cycle. That wasteful-but-faithful behaviour is the comparison anchor
 // for the paper's allocator claims, so datapath refactors (SoA busy masks,
-// wide-mask arbiter inputs, per-port gating) must leave it bit-identical.
+// wide-mask arbiter inputs, the stepping engine) must leave it bit-identical.
 // These goldens were recorded from the pre-refactor scalar implementation;
 // every counter is an exact integer event count, so any allocator-visible
 // change -- an extra arbitration, a reordered grant, a missed retry --
@@ -81,16 +81,15 @@ TEST(TextbookAllocator, FourStage8x8Golden) {
 }
 
 TEST(TextbookAllocator, GoldenHoldsUnderEveryStepMode) {
-  // The same pinned scenario through the gated, ungated, port-gated and
-  // parallel step paths: one fingerprint, four schedules.
+  // The same pinned scenario gated, ungated and on four column spans: one
+  // fingerprint, three schedules.
   int64_t ref_sa1 = -1;
-  for (int mode = 0; mode < 4; ++mode) {
+  for (int mode = 0; mode < 3; ++mode) {
     NetworkConfig cfg = NetworkConfig::baseline_4stage(4);
     cfg.traffic.pattern = TrafficPattern::MixedPaper;
     cfg.traffic.seed = 5;
     cfg.activity_gating = mode != 1;
-    cfg.router.port_gating = mode != 2;
-    cfg.step_threads = mode == 3 ? 4 : 1;
+    cfg.step_threads = mode == 2 ? 4 : 1;
     const PointResult r = measure_point(cfg, 0.06, kOpt);
     EXPECT_EQ(r.completed_packets, 432) << "mode " << mode;
     EXPECT_EQ(r.energy.sa1_arbitrations, 16547) << "mode " << mode;

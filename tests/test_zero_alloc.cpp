@@ -205,62 +205,38 @@ TEST(ZeroAlloc, LargeK12ClosedLoopSteadyState) {
 }
 
 TEST(ZeroAlloc, ParallelSteppingSteadyState) {
-  // Intra-network parallel stepping (docs/PERF.md Layer 4): per-span
-  // scratch (active lists, masks, staging buffers, capture shards) is
-  // preallocated at partition time or grown during warmup; the steady-state
-  // barrier loop itself must never touch the heap. Force a real budget so
-  // the threaded schedule actually runs even on small CI hosts.
+  // Span stepping (docs/PERF.md Layers 3-4): per-span scratch (active
+  // lists, masks, staging buffers, capture shards) is preallocated at
+  // partition time or grown during warmup; the steady-state loop itself
+  // must never touch the heap, on one span (serial) or under the barrier
+  // schedule. Force a real budget so the threaded schedule actually runs
+  // even on small CI hosts.
   const int saved = noc::thread_budget::total();
   noc::thread_budget::set_total(8);
   NetworkConfig cfg = NetworkConfig::proposed(8);
-  cfg.step_threads = 4;
   cfg.traffic.pattern = TrafficPattern::MixedPaper;
   cfg.traffic.offered_flits_per_node_cycle = 0.06;
-  EXPECT_EQ(allocations_during_run(cfg, 3000, 6000), 0u);
+  for (int threads : {1, 4}) {
+    cfg.step_threads = threads;
+    EXPECT_EQ(allocations_during_run(cfg, 3000, 6000), 0u)
+        << "step_threads=" << threads;
+  }
   noc::thread_budget::set_total(saved);
 }
 
 TEST(ZeroAlloc, ParallelSteppingUngatedSteadyState) {
+  // Gating off walks every node and owned channel through the same loop.
   const int saved = noc::thread_budget::total();
   noc::thread_budget::set_total(8);
   NetworkConfig cfg = NetworkConfig::proposed(8);
-  cfg.step_threads = 2;
   cfg.activity_gating = false;
   cfg.traffic.pattern = TrafficPattern::UniformRequest;
   cfg.traffic.offered_flits_per_node_cycle = 0.08;
-  EXPECT_EQ(allocations_during_run(cfg, 3000, 5000), 0u);
-  noc::thread_budget::set_total(saved);
-}
-
-TEST(ZeroAlloc, PortGatingSteadyState) {
-  // Per-port gating (docs/PERF.md Layer 5): the wake-port words, the
-  // internal-work mask build and the phase skips are all inline state; the
-  // sparse identical-PRBS regime churns ports on and off every burst.
-  NetworkConfig cfg = NetworkConfig::proposed(4);
-  cfg.router.port_gating = true;
-  cfg.traffic.pattern = TrafficPattern::MixedPaper;
-  cfg.traffic.identical_prbs = true;
-  cfg.traffic.offered_flits_per_node_cycle = 0.05;
-  EXPECT_EQ(allocations_during_run(cfg, 3000, 6000), 0u);
-  cfg.router.port_gating = false;  // router-level gating only
-  EXPECT_EQ(allocations_during_run(cfg, 3000, 6000), 0u);
-}
-
-TEST(ZeroAlloc, PortGatingParallelSteppingSteadyState) {
-  // The per-port axis under domain-decomposed stepping: wake-port words are
-  // written by channel hooks on the receiver's span, so the threaded
-  // schedule exercises the same inline paths (and must stay heap-free) with
-  // the bits armed.
-  const int saved = noc::thread_budget::total();
-  noc::thread_budget::set_total(8);
-  NetworkConfig cfg = NetworkConfig::proposed(8);
-  cfg.traffic.pattern = TrafficPattern::MixedPaper;
-  cfg.traffic.offered_flits_per_node_cycle = 0.06;
-  cfg.router.port_gating = true;
-  cfg.step_threads = 1;
-  EXPECT_EQ(allocations_during_run(cfg, 3000, 6000), 0u);
-  cfg.step_threads = 4;
-  EXPECT_EQ(allocations_during_run(cfg, 3000, 6000), 0u);
+  for (int threads : {1, 2}) {
+    cfg.step_threads = threads;
+    EXPECT_EQ(allocations_during_run(cfg, 3000, 5000), 0u)
+        << "step_threads=" << threads;
+  }
   noc::thread_budget::set_total(saved);
 }
 
