@@ -256,7 +256,10 @@ std::string campaign_point_key(const Manifest& m, const CampaignPoint& p,
   append_kv(key, "pattern", traffic_pattern_name(cfg.traffic.pattern));
   append_double(key, "offered", cfg.traffic.offered_flits_per_node_cycle);
   append_int(key, "identical_prbs", cfg.traffic.identical_prbs ? 1 : 0);
-  append_int(key, "synced_bias", cfg.traffic.synced_dest_bias ? 1 : 0);
+  // A removed legacy knob (a biased synchronized-PRBS destination mapping)
+  // that no campaign point could set; the constant keeps every point hash
+  // byte-identical to records written while the knob existed.
+  append_int(key, "synced_bias", 0);
   append_int(key, "self_bcast",
              cfg.traffic.include_self_in_broadcast ? 1 : 0);
   append_u64(key, "seed", cfg.traffic.seed);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/assert.hpp"
-
 namespace noc {
 
 void RunningStat::add(double x) {
@@ -16,21 +14,6 @@ void RunningStat::add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningStat::merge(const RunningStat& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto n = static_cast<double>(n_), m = static_cast<double>(other.n_);
-  m2_ = m2_ + other.m2_ + delta * delta * n * m / (n + m);
-  mean_ = (n * mean_ + m * other.mean_) / (n + m);
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 void RunningStat::reset() { *this = RunningStat{}; }
 
 double RunningStat::variance() const {
@@ -38,37 +21,5 @@ double RunningStat::variance() const {
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, int buckets)
-    : lo_(lo), width_((hi - lo) / buckets), counts_(buckets, 0) {
-  NOC_EXPECTS(hi > lo && buckets > 0);
-}
-
-void Histogram::add(double x) {
-  auto idx = static_cast<int64_t>(std::floor((x - lo_) / width_));
-  idx = std::clamp<int64_t>(idx, 0, static_cast<int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(idx)];
-  ++total_;
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-}
-
-double Histogram::quantile(double q) const {
-  NOC_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return lo_;
-  const auto target = static_cast<int64_t>(
-      std::ceil(q * static_cast<double>(total_)));
-  int64_t seen = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i];
-    if (seen >= target) return bucket_low(static_cast<int>(i)) + width_ / 2;
-  }
-  return bucket_low(static_cast<int>(counts_.size()) - 1) + width_ / 2;
-}
-
-double Histogram::bucket_low(int i) const { return lo_ + width_ * i; }
 
 }  // namespace noc

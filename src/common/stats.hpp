@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace noc {
 
@@ -11,7 +10,6 @@ namespace noc {
 class RunningStat {
  public:
   void add(double x);
-  void merge(const RunningStat& other);
   void reset();
 
   int64_t count() const { return n_; }
@@ -28,48 +26,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width bucket histogram over [lo, hi); out-of-range samples clamp to
-/// the end buckets. Supports quantile queries for latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets);
-
-  void add(double x);
-  void reset();
-
-  int64_t count() const { return total_; }
-  double quantile(double q) const;  // q in [0,1]
-  const std::vector<int64_t>& buckets() const { return counts_; }
-  double bucket_low(int i) const;
-  double bucket_width() const { return width_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
-
-/// Simple rate counter: events per elapsed cycle window.
-class RateCounter {
- public:
-  void add(int64_t events = 1) { events_ += events; }
-  void set_window(int64_t cycles) { cycles_ = cycles; }
-  void reset() { events_ = 0; cycles_ = 0; }
-
-  int64_t events() const { return events_; }
-  int64_t window() const { return cycles_; }
-  double rate() const {
-    return cycles_ > 0 ? static_cast<double>(events_) /
-                             static_cast<double>(cycles_)
-                       : 0.0;
-  }
-
- private:
-  int64_t events_ = 0;
-  int64_t cycles_ = 0;
 };
 
 }  // namespace noc

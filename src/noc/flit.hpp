@@ -82,9 +82,6 @@ struct Flit {
   Cycle inject_cycle = 0;
 };
 
-// Human-readable formatting lives in noc/debug.hpp: the hot-path Flit TU
-// must not pull in <string> (docs/PERF.md).
-
 /// Credit / VC-free signal returned upstream (paper Fig 1 "credit signals").
 struct Credit {
   int vc = -1;

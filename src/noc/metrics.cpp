@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "noc/telemetry.hpp"
 
 namespace noc {
 
@@ -111,7 +110,7 @@ void Metrics::retire_if_closed(PacketId logical_id, OpenPacket* op,
       hist_by_kind_[static_cast<int>(op->kind)].add(lat_cycles);
       ++window_packets_completed_;
     }
-    if (telemetry_ != nullptr && telemetry_->tracing(logical_id))
+    if (tracing(logical_id))
       telemetry_->trace(TraceEventType::PacketEnd, now, logical_id, 0);
   }
   open_.erase(logical_id);
@@ -138,14 +137,38 @@ void Metrics::on_injection_link(NodeId node) {
   ++injection_flits_[static_cast<size_t>(node)];
 }
 
+void Metrics::on_trace(TraceEventType type, Cycle ts, PacketId logical_id,
+                       NodeId track, uint8_t aux) {
+  if (shared_ != nullptr) {
+    captured_[static_cast<size_t>(capture_phase_)].push_back(
+        {.kind = CapturedMetricsEvent::Kind::Trace,
+         .trace_type = type,
+         .aux = aux,
+         .node = capture_node_,
+         .track = track,
+         .id = logical_id,
+         .cycle = ts});
+    return;
+  }
+  telemetry_->trace(type, ts, logical_id, track, aux);
+}
+
 void Metrics::apply(const CapturedMetricsEvent& e) {
   NOC_EXPECTS(shared_ == nullptr);  // replay targets the shared instance
-  if (e.kind == CapturedMetricsEvent::Kind::LogicalPacket)
-    on_logical_packet(e.id, e.pkind, e.cycle, e.deliveries);
-  else if (e.kind == CapturedMetricsEvent::Kind::PacketDropped)
-    apply_packet_dropped(e.id, e.deliveries);
-  else
-    apply_flit_received(e.id, e.tail, e.cycle);
+  switch (e.kind) {
+    case CapturedMetricsEvent::Kind::LogicalPacket:
+      on_logical_packet(e.id, e.pkind, e.cycle, e.deliveries);
+      break;
+    case CapturedMetricsEvent::Kind::FlitReceived:
+      apply_flit_received(e.id, e.tail, e.cycle);
+      break;
+    case CapturedMetricsEvent::Kind::PacketDropped:
+      apply_packet_dropped(e.id, e.deliveries);
+      break;
+    case CapturedMetricsEvent::Kind::Trace:
+      telemetry_->trace(e.trace_type, e.cycle, e.id, e.track, e.aux);
+      break;
+  }
 }
 
 void Metrics::begin_window(Cycle now) {

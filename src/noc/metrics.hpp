@@ -18,10 +18,9 @@
 #include "noc/flit.hpp"
 #include "noc/geometry.hpp"
 #include "noc/routing.hpp"
+#include "noc/telemetry.hpp"
 
 namespace noc {
-
-class Telemetry;
 
 /// Fixed-bin latency histogram (docs/OBSERVABILITY.md): one bin per cycle
 /// of latency, pow-2 bin count, held inline so recording is a single
@@ -72,19 +71,28 @@ constexpr int kNumPacketKinds = 3;
 
 /// One deferred packet-lifecycle event recorded by a per-span Metrics shard
 /// during parallel stepping, replayed into the shared Metrics in serial
-/// order (docs/PERF.md Layer 4). `node` is the NIC whose tick produced the
+/// order (docs/PERF.md Layer 4). `node` is the node whose tick produced the
 /// event; replay walks nodes in ascending order, which reconstructs the
 /// exact serial call sequence (and therefore the exact floating-point
-/// accumulation order of the latency statistics).
+/// accumulation order of the latency statistics, and the exact position of
+/// every packet-lifecycle trace event).
 struct CapturedMetricsEvent {
-  enum class Kind : uint8_t { LogicalPacket, FlitReceived, PacketDropped };
+  enum class Kind : uint8_t {
+    LogicalPacket,
+    FlitReceived,
+    PacketDropped,
+    Trace
+  };
   Kind kind;
   bool tail = false;                             // FlitReceived
+  TraceEventType trace_type = TraceEventType::PacketBegin;  // Trace
+  uint8_t aux = 0;                               // Trace
   PacketKind pkind = PacketKind::UnicastRequest; // LogicalPacket
   NodeId node = 0;
   int deliveries = 0;  // LogicalPacket: required; PacketDropped: lost
+  int track = 0;       // Trace: the event's router track
   PacketId id = 0;
-  Cycle cycle = 0;  // generation (LogicalPacket) or receive/drop cycle
+  Cycle cycle = 0;  // generation, receive/drop cycle, or trace timestamp
 };
 
 /// Tick phases a capture shard distinguishes: events from tick_inject
@@ -129,14 +137,26 @@ class Metrics {
   void on_link_flit(NodeId node, PortDir port);
   void on_injection_link(NodeId node);
 
+  /// Packet-lifecycle trace hooks (docs/OBSERVABILITY.md). tracing() is
+  /// the hot-path guard: false unless a tracing Telemetry is attached and
+  /// samples this logical packet. on_trace() appends the event, or, on a
+  /// capture shard, buffers it beside the lifecycle events so the replay
+  /// puts it exactly where a serial step would.
+  bool tracing(PacketId logical_id) const {
+    return telemetry_ != nullptr && telemetry_->tracing(logical_id);
+  }
+  void on_trace(TraceEventType type, Cycle ts, PacketId logical_id,
+                NodeId track, uint8_t aux = 0);
+
   // ---- capture shards (parallel stepping, docs/PERF.md Layer 4) ----
   //
   // A shard is a Metrics instance owned by one span worker with set_shared()
   // installed. Its per-node link counters forward straight to the shared
   // instance (disjoint nodes -> disjoint memory, race-free), while the
   // order-sensitive packet-lifecycle events (open-packet map churn, latency
-  // RunningStat adds) are buffered as CapturedMetricsEvents and replayed by
-  // the main thread via apply() in exact serial order after the barrier.
+  // RunningStat adds, trace events) are buffered as CapturedMetricsEvents
+  // and replayed by the main thread via apply() in exact serial order after
+  // the barrier.
 
   /// Turn this instance into a capture shard of `shared` (nullptr reverts).
   void set_shared(Metrics* shared) { shared_ = shared; }
@@ -229,8 +249,8 @@ class Metrics {
                       [static_cast<size_t>(port_index(port))];
   }
 
-  /// Attach the telemetry sink for packet-lifecycle trace events (shared
-  /// instance only; shards never retire packets). Null detaches.
+  /// Attach the telemetry sink for packet-lifecycle trace events (the
+  /// shared instance and every capture shard). Null detaches.
   void set_telemetry(Telemetry* t) { telemetry_ = t; }
 
  private:

@@ -66,6 +66,14 @@ Network::Network(const NetworkConfig& cfg)
                         SpanPartition::clamp_spans(geom_, cfg.step_threads));
   spans_.resize(static_cast<size_t>(part_.num_spans()));
   const bool sharded = spans_.size() > 1;
+  // Telemetry sink (docs/OBSERVABILITY.md). Every probe works in every
+  // stepping mode: stall rows are per-router (one worker each), histograms
+  // and packet-lifecycle trace events ride the capture-replay path, and
+  // the time series samples on the main thread after the merge.
+  if (cfg.telemetry.enabled) {
+    telemetry_ = std::make_unique<Telemetry>(n, cfg.telemetry);
+    metrics_.set_telemetry(telemetry_.get());
+  }
   for (int s = 0; s < part_.num_spans(); ++s) {
     StepSpan& sp = spans_[static_cast<size_t>(s)];
     for (NodeId node : part_.nodes_of(s)) sp.owned.set(node);
@@ -75,34 +83,23 @@ Network::Network(const NetworkConfig& cfg)
     }
     sp.shard = std::make_unique<Metrics>(geom_);
     sp.shard->set_shared(&metrics_);
+    sp.shard->set_telemetry(telemetry_.get());
     // Per-cycle worst case per node: one packet submission plus the local
     // flit deliveries of a NIC-duplicated broadcast in the inject phase,
     // one drained flit in the eject phase. 8 covers both with slack. A
     // faulted network additionally retires router-phase drop events -- up
-    // to one per input VC per node per cycle.
-    sp.shard->reserve_capture(
-        static_cast<size_t>(sp.owned.count()) *
-        (cfg.fault.empty() ? 8 : 8 + kNumPorts * kMaxTotalVcs));
+    // to one per input VC per node per cycle. A tracing network adds the
+    // router's trace events: per input port at most two hop begins (a
+    // lookahead head and a buffered head), one hop end per VC, one SA
+    // grant, and one VA grant per output branch.
+    size_t per_node = 8;
+    if (!cfg.fault.empty()) per_node += kNumPorts * kMaxTotalVcs;
+    if (cfg.telemetry.enabled && cfg.telemetry.trace_sample_every > 0)
+      per_node += kNumPorts * (3 + kMaxTotalVcs + kNumPorts);
+    sp.shard->reserve_capture(static_cast<size_t>(sp.owned.count()) *
+                              per_node);
     sp.metrics = sp.shard.get();
   }
-  // Telemetry sink (docs/OBSERVABILITY.md). Packet-lifecycle tracing
-  // appends to one shared event buffer from router/NIC hooks, which run on
-  // workers under parallel stepping -- so tracing is disabled there. The
-  // other probes stay on: stall rows are per-router (one worker each),
-  // histograms ride the capture-replay path, and the time series samples on
-  // the main thread after the merge.
-  if (cfg.telemetry.enabled) {
-    telemetry_ = std::make_unique<Telemetry>(n, cfg.telemetry);
-    if (sharded) telemetry_->disable_tracing();
-    metrics_.set_telemetry(telemetry_.get());
-  }
-
-  // Each component records events into its owning span's sinks: the
-  // globals with one span, the span's shards with more.
-  auto energy_for = [&](NodeId node) {
-    return sharded ? &span_of(node).energy : &energy_;
-  };
-  auto metrics_for = [&](NodeId node) { return span_of(node).metrics; };
 
   routers_.reserve(static_cast<size_t>(n));
   sources_.reserve(static_cast<size_t>(n));
@@ -115,22 +112,20 @@ Network::Network(const NetworkConfig& cfg)
   }
   for (NodeId node = 0; node < n; ++node) {
     routers_.push_back(std::make_unique<Router>(node, geom_, cfg.router,
-                                                energy_for(node),
-                                                metrics_for(node)));
+                                                &span_of(node).energy,
+                                                span_of(node).metrics));
     sources_.push_back(
         make_traffic_source(geom_, cfg.traffic, cfg.workload, node, trace));
     nics_.push_back(std::make_unique<Nic>(node, geom_, cfg.router,
                                           sources_.back().get(),
-                                          energy_for(node),
-                                          metrics_for(node)));
+                                          &span_of(node).energy,
+                                          span_of(node).metrics));
     if (fault_state_.enabled()) {
       routers_.back()->attach_faults(&fault_state_);
       nics_.back()->attach_faults(&fault_state_);
     }
-    if (telemetry_ != nullptr) {
+    if (telemetry_ != nullptr)
       routers_.back()->attach_telemetry(telemetry_.get());
-      nics_.back()->attach_telemetry(telemetry_.get());
-    }
   }
 
   const bool bypass = cfg.router.has_bypass();
@@ -247,15 +242,15 @@ Network::Network(const NetworkConfig& cfg)
 
   setup_activity();
 
-  if (sharded) {
-    // Lease extra workers from the shared budget for this network's
-    // lifetime. A lease of 0 (budget exhausted, nested parallelism) leaves
-    // a one-worker team: the spans are then stepped inline, still through
-    // the sharded datapath, so results stay identical.
+  // Lease extra workers from the shared budget for this network's
+  // lifetime. A serial network, or a lease of 0 (budget exhausted, nested
+  // parallelism), gets a one-worker team whose run() is a direct call: the
+  // caller then steps the spans one after another, still through the
+  // sharded datapath, so results stay identical.
+  if (sharded)
     budget_lease_ =
         thread_budget::acquire(static_cast<int>(spans_.size()) - 1);
-    team_ = std::make_unique<StepTeam>(budget_lease_ + 1);
-  }
+  team_ = std::make_unique<StepTeam>(budget_lease_ + 1);
 }
 
 Network::~Network() {
@@ -316,44 +311,50 @@ void Network::setup_activity() {
 // ---------------------------------------------------------------------------
 // The step schedule (docs/PERF.md Layers 3-4).
 //
-// Per cycle, with barriers between the phases when a worker team runs it:
+// Per cycle, with a barrier after each of A and B:
 //
 //   A. compute  -- each span runs its timed wakes, channel deliveries,
 //      NIC-inject / router / NIC-eject passes. Every write lands in
 //      span-owned state; sends on cross-span channels only stage.
 //   B. commit   -- each owner replays the messages other spans staged into
 //      its boundary channels, through the normal send path.
-//   C. merge    (main thread) -- drain per-span energy shards (integer adds,
-//      span order) and replay captured metrics events in exact serial order
-//      (inject phase before eject phase, ascending node within each).
+//   C. merge    (main thread) -- replay captured metrics and trace events
+//      in exact serial order (inject, router, then eject phase, ascending
+//      node within each) and append recorded workload packets in ascending
+//      source order. Energy needs no merge: each span owns integer
+//      counters that energy() sums on demand.
 //
-// Serial stepping is this schedule with one span: nothing crosses, the
-// components write the globals directly, and B and C are no-ops.
-// Bit-identity across span counts holds because every within-cycle wake is
-// intra-node, every cross-node interaction crosses a latency>=1 channel
-// (visible only after the next cycle's begin_cycle), and phase C
-// reconstructs the serial call order of all order-sensitive accumulation.
+// Serial stepping is this schedule with one span on a one-worker team:
+// nothing crosses, the components write the globals directly, and B and C
+// are no-ops. Bit-identity across span counts and worker counts holds
+// because phase A is span-isolated, every within-cycle wake is intra-node,
+// every cross-node interaction crosses a latency>=1 channel (visible only
+// after the next cycle's begin_cycle), and phase C reconstructs the serial
+// call order of all order-sensitive accumulation.
 
 void Network::step(Cycle now) {
   apply_faults(now);
   flush_external_captures();
-  if (team_ != nullptr && team_->workers() > 1 && !trace_recording_) {
-    StepCtx ctx{this, now};
-    team_->run(&Network::compute_thunk, &ctx);
-    team_->run(&Network::commit_thunk, &ctx);
-  } else {
-    step_inline(now);
-  }
+  StepCtx ctx{this, now};
+  team_->run(&Network::compute_thunk, &ctx);
+  team_->run(&Network::commit_thunk, &ctx);
   merge_spans();
   if (telemetry_ != nullptr && telemetry_->want_sample(now))
     sample_telemetry(now);
-  ++energy_.cycles;
+  ++cycles_;
+}
+
+EnergyCounters Network::energy() const {
+  EnergyCounters total;
+  for (const auto& sp : spans_) total += sp.energy;
+  total.cycles = cycles_;
+  return total;
 }
 
 void Network::sample_telemetry(Cycle now) {
   TimeSample s;
   s.cycle = now;
-  s.injected_flits = energy_.nic_link_traversals;
+  s.injected_flits = energy().nic_link_traversals;
   s.delivered_flits = metrics_.lifetime_flits_received();
   s.open_packets = metrics_.open_packets();
   s.fault_epoch = fault_state_.epoch();
@@ -512,54 +513,34 @@ void Network::span_commit(StepSpan& sp, Cycle now) {
   for (auto* ch : sp.cross_la) ch->commit_staged(now);
 }
 
-// Single-threaded drive of the span schedule: every serial step, and
-// multi-span networks when the budget granted no helpers or while
-// recording traces. Each pass walks the union of the spans' masks in
-// GLOBAL ascending node order, because NIC trace recorders append in tick
-// order. Span execution order cannot otherwise affect results -- phase A
-// is span-isolated -- so this produces exactly what the threaded schedule
-// produces.
-void Network::step_inline(Cycle now) {
-  for (auto& sp : spans_) span_begin(sp, now);
-  auto pass = [&](DestMask StepSpan::*awake, auto&& tick) {
-    DestMask walk;
-    for (const auto& sp : spans_) walk |= pass_mask(sp, sp.*awake);
-    walk.for_each([&](int node) { tick(span_of(node), node); });
-  };
-  pass(&StepSpan::inject_awake,
-       [&](StepSpan& sp, int node) { span_inject_tick(sp, node, now); });
-  pass(&StepSpan::router_awake,
-       [&](StepSpan& sp, int node) { span_router_tick(sp, node, now); });
-  pass(&StepSpan::eject_awake,
-       [&](StepSpan& sp, int node) { span_eject_tick(sp, node, now); });
-  for (auto& sp : spans_) span_commit(sp, now);
-}
-
 // Packets submitted through a NIC between steps (tests, external drivers)
 // land in the owner shard tagged with a stale capture point. Their events
 // (packet creation, NIC-duplicated local deliveries) commute across
 // distinct packets, so applying them span-by-span before the cycle starts
-// reproduces the serial bookkeeping exactly.
+// reproduces the serial bookkeeping exactly. Their recorded workload
+// packets are appended in span order.
 void Network::flush_external_captures() {
+  if (spans_.size() == 1) return;  // one span records into the globals
   for (auto& sp : spans_) {
-    if (sp.shard == nullptr || sp.shard->captured_empty()) continue;
-    for (int phase = 0; phase < kNumCapturePhases; ++phase)
-      for (const auto& e : sp.shard->captured(phase)) metrics_.apply(e);
-    sp.shard->clear_captured();
+    if (!sp.shard->captured_empty()) {
+      for (int phase = 0; phase < kNumCapturePhases; ++phase)
+        for (const auto& e : sp.shard->captured(phase)) metrics_.apply(e);
+      sp.shard->clear_captured();
+    }
+    if (!sp.trace.empty()) {
+      trace_out_->records.insert(trace_out_->records.end(), sp.trace.begin(),
+                                 sp.trace.end());
+      sp.trace.clear();
+    }
   }
 }
 
 void Network::merge_spans() {
   if (spans_.size() == 1) return;  // one span records into the globals
-  // Deterministic merge, main thread. Energy shards are integer event
-  // counts: span-ordered addition is exact. Metrics events replay in the
-  // serial call order -- all inject-phase events before all eject-phase
-  // events, ascending node id within each; each span captured its own nodes
-  // in ascending order, so a per-span cursor walk needs no sorting.
-  for (auto& sp : spans_) {
-    energy_ += sp.energy;
-    sp.energy.reset();
-  }
+  // Deterministic merge, main thread. Captured events replay in the serial
+  // call order -- inject-phase events, then router-phase, then eject-phase,
+  // ascending node id within each; each span captured its own nodes in
+  // ascending order, so a per-span cursor walk needs no sorting.
   const int n = geom_.num_nodes();
   for (int phase = 0; phase < kNumCapturePhases; ++phase) {
     for (auto& sp : spans_) sp.replay_cursor = 0;
@@ -572,17 +553,44 @@ void Network::merge_spans() {
     }
   }
   for (auto& sp : spans_) sp.shard->clear_captured();
+  if (trace_out_ == nullptr) return;
+  // Packets are submitted only in the inject phase, at most one per NIC
+  // tick: ascending source order is the order a serial step appends them.
+  for (auto& sp : spans_) sp.replay_cursor = 0;
+  for (NodeId node = 0; node < n; ++node) {
+    StepSpan& sp = span_of(node);
+    while (sp.replay_cursor < sp.trace.size() &&
+           sp.trace[sp.replay_cursor].src == node)
+      trace_out_->records.push_back(sp.trace[sp.replay_cursor++]);
+  }
+  for (auto& sp : spans_) {
+    NOC_ASSERT(sp.replay_cursor == sp.trace.size());
+    sp.trace.clear();
+  }
 }
 
 void Network::record_trace(Trace* out) {
-  trace_recording_ = out != nullptr;
+  // Hand records still buffered from between-step submissions to the
+  // trace they were recorded for.
+  flush_external_captures();
+  trace_out_ = out;
   if (out != nullptr) {
     // Stamp the capture geometry so replay layers can reject a trace fed
     // to the wrong mesh (trace_geometry_error / the v2 file header).
     out->kx = geom_.kx();
     out->ky = geom_.ky();
   }
-  for (auto& nic : nics_) nic->set_trace_recorder(out);
+  // One span appends straight to the trace; more spans buffer per span
+  // (at most one submission per owned NIC per step) for merge_spans.
+  const bool sharded = spans_.size() > 1;
+  if (sharded && out != nullptr)
+    for (auto& sp : spans_)
+      sp.trace.reserve(static_cast<size_t>(sp.owned.count()));
+  for (NodeId node = 0; node < geom_.num_nodes(); ++node) {
+    std::vector<TraceRecord>* sink = nullptr;
+    if (out != nullptr) sink = sharded ? &span_of(node).trace : &out->records;
+    nics_[static_cast<size_t>(node)]->set_trace_recorder(sink);
+  }
 }
 
 void Network::begin_measurement_window(Cycle now) {

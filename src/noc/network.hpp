@@ -10,14 +10,16 @@
 
 // Every step runs one schedule over column spans (src/noc/partition.hpp):
 // each span delivers its owned channels, then ticks its NIC injection
-// halves, routers and NIC ejection halves. Serial stepping is the
-// one-span schedule. With step_threads > 1 the mesh splits into several
-// spans stepped by a persistent worker team under a fixed two-phase
-// barrier schedule: compute span-local state, barrier, commit cross-span
-// channel sends, barrier, then merge per-span energy and metrics shards on
-// the main thread in deterministic span/node order. Results are
-// bit-identical to serial stepping for every pattern, workload, policy and
-// gating mode (docs/PERF.md Layer 4).
+// halves, routers and NIC ejection halves. A worker team runs a fixed
+// two-phase barrier schedule: compute span-local state, barrier, commit
+// cross-span channel sends, barrier, then the main thread replays the
+// spans' captured metrics and trace events, and their recorded workload
+// packets, in deterministic (phase, node) order. Serial stepping is one
+// span on a one-worker team; a network whose thread budget granted no
+// helpers steps its spans on a one-worker team too. Results -- metrics,
+// energy counters, Perfetto trace events and recorded traces -- are
+// bit-identical to serial stepping for every pattern, workload, policy
+// and gating mode (docs/PERF.md Layer 4).
 //
 // Activity gating (NetworkConfig::activity_gating, the default) makes each
 // pass walk only the components that can possibly do work this cycle:
@@ -109,7 +111,9 @@ class Network : public Steppable {
   const MeshGeometry& geom() const { return geom_; }
   Metrics& metrics() { return metrics_; }
   const Metrics& metrics() const { return metrics_; }
-  EnergyCounters& energy() { return energy_; }
+  /// Network-wide energy event counts: the sum of the spans' integer
+  /// counters (order-free), with `cycles` from the step count.
+  EnergyCounters energy() const;
   Router& router(NodeId n) { return *routers_[static_cast<size_t>(n)]; }
   Nic& nic(NodeId n) { return *nics_[static_cast<size_t>(n)]; }
   /// Fault-schedule state (FaultState::enabled() is false for empty plans).
@@ -120,7 +124,10 @@ class Network : public Steppable {
   TrafficSource& source(NodeId n) { return *sources_[static_cast<size_t>(n)]; }
 
   /// Capture every logical packet submitted at any NIC into `out`
-  /// (replayable through WorkloadKind::Trace). Pass nullptr to stop.
+  /// (replayable through WorkloadKind::Trace). Pass nullptr to stop. With
+  /// more than one span, records reach `out` at the end of each step, in
+  /// serial order; packets submitted between steps are appended, in span
+  /// order, when the next step (or record_trace call) begins.
   void record_trace(Trace* out);
 
   /// Open the metrics window and reset every source's per-window stats
@@ -147,7 +154,7 @@ class Network : public Steppable {
   /// Number of column spans the step loop drives; 1 in serial mode.
   int num_step_spans() const { return static_cast<int>(spans_.size()); }
   /// Workers actually running per step (after thread_budget clamping).
-  int step_workers() const { return team_ ? team_->workers() : 1; }
+  int step_workers() const { return team_->workers(); }
   /// The column partition (a single span in serial mode).
   const SpanPartition& partition() const { return part_; }
   int num_channels() const {
@@ -167,12 +174,13 @@ class Network : public Steppable {
 
  private:
   /// Everything one worker exclusively owns while stepping its column span.
-  /// Serial stepping is a single span that owns every node and channel, and
-  /// its components record straight into the global Metrics and
-  /// EnergyCounters. With more spans, components record into the span's
-  /// integer energy and capture-mode metrics shards, which the main thread
-  /// drains each cycle in deterministic order. All scratch is sized at
-  /// partition time (zero-alloc invariant).
+  /// Serial stepping is a single span that owns every node and channel.
+  /// Components always count energy into their span's counters. A single
+  /// span records metrics, trace events and workload records straight into
+  /// the globals; with more spans, components record into the span's
+  /// capture-mode metrics shard and trace-record buffer, which the main
+  /// thread drains each cycle in deterministic order. All scratch is sized
+  /// at partition time (zero-alloc invariant).
   struct StepSpan {
     DestMask owned;  // the span's nodes: the ungated pass set
     // Owned channels (receiver in span) per pool, and the deferred subset
@@ -194,7 +202,8 @@ class Network : public Steppable {
     Cycle next_timed_wake = kCycleNever;
     Metrics* metrics = nullptr;       // the global, or shard.get()
     std::unique_ptr<Metrics> shard;   // capture shard (more than one span)
-    EnergyCounters energy;            // energy shard (more than one span)
+    EnergyCounters energy;            // the span's routers and NICs
+    std::vector<TraceRecord> trace;   // recorded packets (more than one span)
     size_t replay_cursor = 0;
   };
 
@@ -226,7 +235,6 @@ class Network : public Steppable {
   /// merge so the cumulative counters are whole-network values).
   void sample_telemetry(Cycle now);
 
-  void step_inline(Cycle now);
   bool begin_channel(int id, Cycle now);
   void span_begin(StepSpan& sp, Cycle now);
   void span_compute(StepSpan& sp, Cycle now);
@@ -242,7 +250,7 @@ class Network : public Steppable {
   NetworkConfig cfg_;
   MeshGeometry geom_;
   Metrics metrics_;
-  EnergyCounters energy_;
+  int64_t cycles_ = 0;  // steps taken: energy().cycles
   FaultState fault_state_;
   std::unique_ptr<Telemetry> telemetry_;  // null unless telemetry.enabled
 
@@ -266,9 +274,9 @@ class Network : public Steppable {
   // --- the span schedule (docs/PERF.md Layers 3-4) ---
   SpanPartition part_;
   std::vector<StepSpan> spans_;     // one per column span; one when serial
-  std::unique_ptr<StepTeam> team_;  // non-null iff more than one span
+  std::unique_ptr<StepTeam> team_;  // one worker when serial or starved
   int budget_lease_ = 0;            // extra threads leased from thread_budget
-  bool trace_recording_ = false;
+  Trace* trace_out_ = nullptr;      // record_trace target
   // Channel ids are assigned contiguously per pool (flit < credit <
   // lookahead) so a sweep can dispatch without virtual calls.
   int credit_id_base_ = 0;

@@ -15,7 +15,7 @@ Nic::Nic(NodeId node, const MeshGeometry& geom, const RouterConfig& router_cfg,
       source_(source),
       rx_vcs_(static_cast<size_t>(router_cfg.vc.total_vcs())),
       rx_rr_(router_cfg.vc.total_vcs()) {
-  NOC_EXPECTS(source_ != nullptr);
+  NOC_EXPECTS(source_ != nullptr && energy != nullptr && metrics != nullptr);
   ds_.configure(router_cfg.vc);
   // Pre-size the packet queues past any below-saturation high-water mark
   // (NIC broadcast duplication bursts k^2-1 copies at once), so steady-state
@@ -31,7 +31,6 @@ PacketKind Nic::classify(const Packet& pkt) const {
 }
 
 void Nic::account_new_packet(const Packet& pkt, Cycle now) {
-  if (metrics_ == nullptr) return;
   metrics_->on_logical_packet(pkt.id, classify(pkt), pkt.gen_cycle,
                               pkt.dest_mask.count());
   (void)now;
@@ -53,14 +52,13 @@ void Nic::submit_packet(Packet pkt) {
   // which is harmless).
   wake_inject_.fire();
   if (trace_out_ != nullptr)
-    trace_out_->records.push_back(
+    trace_out_->push_back(
         {pkt.gen_cycle, node_, pkt.dest_mask, pkt.length, pkt.mc});
   account_new_packet(pkt, pkt.gen_cycle);
-  if (telemetry_ != nullptr &&
-      telemetry_->tracing(pkt.effective_logical_id()))
-    telemetry_->trace(TraceEventType::PacketBegin, pkt.gen_cycle,
-                      pkt.effective_logical_id(), node_,
-                      static_cast<uint8_t>(classify(pkt)));
+  if (metrics_->tracing(pkt.effective_logical_id()))
+    metrics_->on_trace(TraceEventType::PacketBegin, pkt.gen_cycle,
+                       pkt.effective_logical_id(), node_,
+                       static_cast<uint8_t>(classify(pkt)));
 
   // Fault-mode injection filter (docs/FAULTS.md): destinations with no
   // usable path on the surviving topology are counted as drops at the
@@ -80,8 +78,7 @@ void Nic::submit_packet(Packet pkt) {
       if (!ok) dead.set(d);
     });
     if (dead.any()) {
-      if (metrics_)
-        metrics_->on_packet_dropped(pkt.id, dead.count(), pkt.gen_cycle);
+      metrics_->on_packet_dropped(pkt.id, dead.count(), pkt.gen_cycle);
       source_->on_drop(pkt, dead, pkt.gen_cycle);
       pkt.dest_mask = pkt.dest_mask.andnot(dead);
       if (pkt.dest_mask.none()) return;
@@ -111,7 +108,7 @@ void Nic::submit_packet(Packet pkt) {
                  : s == 0        ? FlitType::Head
                  : s == pkt.length - 1 ? FlitType::Tail
                                        : FlitType::Body;
-        if (metrics_) metrics_->on_flit_received(f.logical_id, f, pkt.gen_cycle);
+        metrics_->on_flit_received(f.logical_id, f, pkt.gen_cycle);
         source_->on_delivery(f, pkt.gen_cycle);
       }
     }
@@ -139,7 +136,7 @@ bool Nic::try_activate(MsgClass mc) {
   if (queue_[m].empty()) return false;
   const int vc = ds_.allocate_vc(mc);
   if (vc < 0) return false;
-  if (energy_) ++energy_->vc_allocations;
+  ++energy_->vc_allocations;
   Packet pkt = queue_[m].pop_front();
   uint64_t payloads[kMaxPacketFlits];
   NOC_ASSERT(pkt.length <= kMaxPacketFlits);
@@ -166,14 +163,14 @@ void Nic::send_flit(MsgClass mc, Cycle now) {
   ds_.consume_credit(tx.vc);
   NOC_ASSERT(ch_.flit_to_router != nullptr);
   ch_.flit_to_router->send(now, f);
-  if (energy_) ++energy_->nic_link_traversals;
-  if (metrics_) metrics_->on_injection_link(node_);
+  ++energy_->nic_link_traversals;
+  metrics_->on_injection_link(node_);
   if (router_cfg_.has_bypass() && ch_.la_to_router != nullptr) {
     Lookahead la;
     la.in_port = port_index(PortDir::Local);
     la.flit = f;
     ch_.la_to_router->send(now, la);
-    if (energy_) ++energy_->lookaheads_sent;
+    ++energy_->lookaheads_sent;
   }
   if (tx.done()) active_[m].reset();
 }
@@ -231,10 +228,9 @@ void Nic::tick_eject(Cycle now) {
     c.vc_free = is_tail(f.type);
     ch_.credit_to_router->send(now, c);
   }
-  if (telemetry_ != nullptr && is_tail(f.type) &&
-      telemetry_->tracing(f.logical_id))
-    telemetry_->trace(TraceEventType::Eject, now, f.logical_id, node_);
-  if (metrics_) metrics_->on_flit_received(f.logical_id, f, now);
+  if (is_tail(f.type) && metrics_->tracing(f.logical_id))
+    metrics_->on_trace(TraceEventType::Eject, now, f.logical_id, node_);
+  metrics_->on_flit_received(f.logical_id, f, now);
   source_->on_delivery(f, now);
   // The delivery may have unblocked the source (a closed-loop response
   // becoming due, a retired miss reopening the window): re-arm injection.

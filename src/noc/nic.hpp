@@ -35,7 +35,7 @@
 
 namespace noc {
 
-struct Trace;  // noc/workload.hpp
+struct TraceRecord;  // noc/workload.hpp
 
 class Nic {
  public:
@@ -63,9 +63,10 @@ class Nic {
   void submit_packet(Packet pkt);
 
   /// When set, every logical packet submitted at this NIC is appended to
-  /// `out` as a TraceRecord (see Network::record_trace). Recording is off
-  /// the steady-state no-allocation path.
-  void set_trace_recorder(Trace* out) { trace_out_ = out; }
+  /// `out` as a TraceRecord: the recorded Trace's records, or the owning
+  /// span's buffer (see Network::record_trace). Recording is off the
+  /// steady-state no-allocation path.
+  void set_trace_recorder(std::vector<TraceRecord>* out) { trace_out_ = out; }
 
   /// Installed by a gating Network: fired whenever this NIC's injection
   /// half may have new work (an external submit_packet, or a delivery that
@@ -77,12 +78,6 @@ class Nic {
   /// are counted as drops at the door (and reported to the source) instead
   /// of being injected to hang in the mesh. Null = pristine fast path.
   void attach_faults(const FaultState* faults) { faults_ = faults; }
-
-  /// Attach the network's telemetry sink (docs/OBSERVABILITY.md): the NIC
-  /// stamps the inject-side begin of each sampled packet's lifecycle slice
-  /// and an eject instant per drained tail. Null = off, one untaken branch
-  /// per hook (the attach_faults pattern).
-  void attach_telemetry(Telemetry* t) { telemetry_ = t; }
 
   /// Injection half holds queued packets or a transmission in progress.
   /// (Whether the *source* may fire is the Network's question, via
@@ -118,8 +113,7 @@ class Nic {
   Metrics* metrics_;
   TrafficSource* source_;
   const FaultState* faults_ = nullptr;
-  Telemetry* telemetry_ = nullptr;
-  Trace* trace_out_ = nullptr;
+  std::vector<TraceRecord>* trace_out_ = nullptr;
   WakeHook wake_inject_;
   Channels ch_;
 

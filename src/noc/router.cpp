@@ -9,6 +9,7 @@ namespace noc {
 Router::Router(NodeId node, const MeshGeometry& geom, const RouterConfig& cfg,
                EnergyCounters* energy, Metrics* metrics)
     : node_(node), geom_(geom), cfg_(cfg), energy_(energy), metrics_(metrics) {
+  NOC_EXPECTS(energy != nullptr && metrics != nullptr);
   // Lane-splitting policies partition each message class's VCs; a class
   // whose Free lane would be empty could never allocate for half its
   // traffic -- reject the config here rather than deadlock silently.
@@ -43,36 +44,6 @@ bool Router::idle() const {
   return true;
 }
 
-void Router::dump_state(FILE* out) const {
-  if (idle()) return;
-  std::fprintf(out, "router %d:\n", node_);
-  for (int p = 0; p < kNumPorts; ++p) {
-    const auto& ip = in_[static_cast<size_t>(p)];
-    for (int v = 0; v < cfg_.vc.total_vcs(); ++v) {
-      const auto& ivc = ip.vcs[static_cast<size_t>(v)];
-      if (!ivc.busy()) continue;
-      std::fprintf(out, "  in[%s] vc%d occ=%d front_seq=%d acc=%d/%d:",
-                   port_name(port_dir(p)), v, ivc.occupancy(), ivc.front_seq(),
-                   ivc.accepted_flits, ivc.packet_len);
-      for (const auto& b : ivc.branches())
-        std::fprintf(out, " [%s seq=%d dsvc=%d%s cred=%d]",
-                     port_name(b.out), b.next_seq, b.ds_vc,
-                     b.tail_sent ? " done" : "",
-                     b.ds_vc >= 0
-                         ? out_[static_cast<size_t>(port_index(b.out))].ds.credits(
-                               b.ds_vc)
-                         : -1);
-      std::fprintf(out, "%s\n", ip.stage2_vc == v ? "  <stage2>" : "");
-    }
-    if (ip.st.valid)
-      std::fprintf(out, "  in[%s] st_latch vc%d seq%d\n",
-                   port_name(port_dir(p)), ip.st.vc, ip.st.seq);
-    if (ip.bypass.valid)
-      std::fprintf(out, "  in[%s] bypass vc%d seq%d\n",
-                   port_name(port_dir(p)), ip.bypass.vc, ip.bypass.seq);
-  }
-}
-
 void Router::tick(Cycle now) {
   apply_credits(now);
   phase_st_and_bw(now);
@@ -88,7 +59,7 @@ void Router::tick(Cycle now) {
     phase_sa2(now);
     phase_sa1_va(now);
   }
-  if (energy_) energy_->vc_active_cycles += busy_.count();
+  energy_->vc_active_cycles += busy_.count();
 }
 
 void Router::apply_credits(Cycle) {
@@ -246,8 +217,8 @@ void Router::open_packet_state(Cycle now, int port, const Flit& head) {
   in_[static_cast<size_t>(port)].vcs[static_cast<size_t>(head.vc)].open_packet(
       head, branches);
   busy_.set(vc_bit(port, head.vc));
-  if (telemetry_ != nullptr && telemetry_->tracing(head.logical_id))
-    telemetry_->trace(TraceEventType::HopBegin, now, head.logical_id, node_);
+  if (metrics_->tracing(head.logical_id))
+    metrics_->on_trace(TraceEventType::HopBegin, now, head.logical_id, node_);
 }
 
 void Router::forward_copy(Cycle now, const Flit& f, const GrantOut& go) {
@@ -255,7 +226,7 @@ void Router::forward_copy(Cycle now, const Flit& f, const GrantOut& go) {
   copy.branch_mask = go.dests;
   copy.vc = go.ds_vc;
   copy.rc = downstream_rc(f, go);
-  if (energy_) ++energy_->xbar_traversals;
+  ++energy_->xbar_traversals;
   auto* out_ch = in_[static_cast<size_t>(port_index(go.out))].ch.flit_out;
   NOC_ASSERT(out_ch != nullptr);
   if (cfg_.pipeline == PipelineMode::FourStage) {
@@ -265,13 +236,11 @@ void Router::forward_copy(Cycle now, const Flit& f, const GrantOut& go) {
     return;
   }
   // Fused ST+LT: the copy is on the wire this cycle.
-  if (energy_) {
-    if (go.out == PortDir::Local)
-      ++energy_->nic_link_traversals;
-    else
-      ++energy_->link_traversals;
-  }
-  if (metrics_) metrics_->on_link_flit(node_, go.out);
+  if (go.out == PortDir::Local)
+    ++energy_->nic_link_traversals;
+  else
+    ++energy_->link_traversals;
+  metrics_->on_link_flit(node_, go.out);
   out_ch->send(now, copy);
 }
 
@@ -286,7 +255,7 @@ void Router::send_lookahead(Cycle now, const Flit& f, const GrantOut& go) {
   la.flit.vc = go.ds_vc;
   la.flit.rc = downstream_rc(f, go);
   la_ch->send(now, la);
-  if (energy_) ++energy_->lookaheads_sent;
+  ++energy_->lookaheads_sent;
 }
 
 void Router::send_credit_upstream(Cycle now, int port, int vc, bool vc_free) {
@@ -333,8 +302,8 @@ void Router::retire_sent_flits(Cycle now, int port, int vc) {
     send_credit_upstream(now, port, vc, last);
   }
   if (ivc.empty() && ivc.all_branches_done()) {
-    if (telemetry_ != nullptr && telemetry_->tracing(ivc.logical()))
-      telemetry_->trace(TraceEventType::HopEnd, now, ivc.logical(), node_);
+    if (metrics_->tracing(ivc.logical()))
+      metrics_->on_trace(TraceEventType::HopEnd, now, ivc.logical(), node_);
     ivc.close_packet();
     busy_.clear(vc_bit(port, vc));
   }
@@ -348,13 +317,11 @@ void Router::phase_st_and_bw(Cycle now) {
       if (!op.lt.has_value()) continue;
       auto* ch = in_[static_cast<size_t>(o)].ch.flit_out;
       NOC_ASSERT(ch != nullptr);
-      if (energy_) {
-        if (port_dir(o) == PortDir::Local)
-          ++energy_->nic_link_traversals;
-        else
-          ++energy_->link_traversals;
-      }
-      if (metrics_) metrics_->on_link_flit(node_, port_dir(o));
+      if (port_dir(o) == PortDir::Local)
+        ++energy_->nic_link_traversals;
+      else
+        ++energy_->link_traversals;
+      metrics_->on_link_flit(node_, port_dir(o));
       ch->send(now, *op.lt);
       op.lt.reset();
     }
@@ -372,7 +339,7 @@ void Router::phase_st_and_bw(Cycle now) {
     // Safe to borrow: forward_copy only sends downstream, and the pops in
     // retire_sent_flits happen after the loop.
     const Flit& f = ivc.flit_at_seq(ip.st.seq);
-    if (energy_) ++energy_->buffer_reads;
+    ++energy_->buffer_reads;
     for (const auto& go : ip.st.outs) forward_copy(now, f, go);
     ip.st.valid = false;  // in-place: a fresh StLatch would re-run the
     ip.st.outs.clear();   // GrantList constructors (see granted_scratch_)
@@ -398,22 +365,20 @@ void Router::phase_st_and_bw(Cycle now) {
       for (const auto& go : ip.bypass.outs) forward_copy(now, f, go);
       ++ivc.accepted_flits;
       if (ip.bypass.full) {
-        if (energy_) ++energy_->bypasses;
+        ++energy_->bypasses;
         const bool last = is_tail(f.type) && ivc.all_branches_done();
         send_credit_upstream(now, p, f.vc, last);
         if (ivc.empty() && ivc.all_branches_done()) {
-          if (telemetry_ != nullptr && telemetry_->tracing(ivc.logical()))
-            telemetry_->trace(TraceEventType::HopEnd, now, ivc.logical(),
-                              node_);
+          if (metrics_->tracing(ivc.logical()))
+            metrics_->on_trace(TraceEventType::HopEnd, now, ivc.logical(),
+                               node_);
           ivc.close_packet();
           busy_.clear(vc_bit(p, f.vc));
         }
       } else {
         // Partial bypass: the flit stays buffered for the remaining branches.
-        if (energy_) {
-          ++energy_->partial_bypasses;
-          ++energy_->buffer_writes;
-        }
+        ++energy_->partial_bypasses;
+        ++energy_->buffer_writes;
         ivc.push(f);
       }
       ip.bypass.valid = false;
@@ -426,10 +391,8 @@ void Router::phase_st_and_bw(Cycle now) {
     NOC_ASSERT(ivc.busy());
     ivc.push(f);
     ++ivc.accepted_flits;
-    if (energy_) {
-      ++energy_->buffer_writes;
-      ++energy_->buffered_hops;
-    }
+    ++energy_->buffer_writes;
+    ++energy_->buffered_hops;
   }
 }
 
@@ -467,7 +430,7 @@ void Router::process_lookaheads(Cycle now,
     if (!ip.connected || ip.ch.la_in == nullptr) continue;
     for (const Lookahead& la : ip.ch.la_in->arrivals()) {
       NOC_ASSERT(la.in_port == p);
-      if (energy_) ++energy_->sa2_arbitrations;
+      ++energy_->sa2_arbitrations;
       auto& ivc = ip.vcs[static_cast<size_t>(la.flit.vc)];
 
       // Install route state for an incoming head even if the bypass fails:
@@ -541,7 +504,7 @@ void Router::process_lookaheads(Cycle now,
           go.ds_vc = ds.allocate_vc(la.flit.mc, branch_lane(ivc.rc(), go.out));
           NOC_ASSERT(go.ds_vc >= 0);
           br->ds_vc = go.ds_vc;
-          if (energy_) ++energy_->vc_allocations;
+          ++energy_->vc_allocations;
         }
         ds.consume_credit(go.ds_vc);
         out_claimed[static_cast<size_t>(port_index(go.out))] = true;
@@ -549,9 +512,9 @@ void Router::process_lookaheads(Cycle now,
         send_lookahead(now, la.flit, go);
         grant.outs.push_back(go);
       }
-      if (telemetry_ != nullptr && telemetry_->tracing(la.flit.logical_id))
-        telemetry_->trace(TraceEventType::SaGrant, now, la.flit.logical_id,
-                          node_);
+      if (metrics_->tracing(la.flit.logical_id))
+        metrics_->on_trace(TraceEventType::SaGrant, now, la.flit.logical_id,
+                           node_);
       in_claimed[static_cast<size_t>(p)] = true;
     }
   }
@@ -608,7 +571,7 @@ void Router::arbitrate_buffered(Cycle now,
       continue;
     }
     if (requests[static_cast<size_t>(o)].none()) continue;
-    if (energy_) ++energy_->sa2_arbitrations;
+    ++energy_->sa2_arbitrations;
     const int w =
         out_[static_cast<size_t>(o)].sa2.arbitrate(requests[static_cast<size_t>(o)]);
     NOC_ASSERT(w >= 0);
@@ -653,8 +616,8 @@ void Router::arbitrate_buffered(Cycle now,
         send_lookahead(now, f, go);
         st.outs.push_back(go);
       }
-      if (telemetry_ != nullptr && telemetry_->tracing(f.logical_id))
-        telemetry_->trace(TraceEventType::SaGrant, now, f.logical_id, node_);
+      if (metrics_->tracing(f.logical_id))
+        metrics_->on_trace(TraceEventType::SaGrant, now, f.logical_id, node_);
       in_claimed[static_cast<size_t>(p)] = true;
     }
     // Stage-2 candidate lifetime: a multicast flit that won SOME of its
@@ -733,7 +696,7 @@ void Router::phase_sa1_va(Cycle now) {
       ip.stage2_vc = -1;
       continue;
     }
-    if (energy_) ++energy_->sa1_arbitrations;
+    ++energy_->sa1_arbitrations;
     ip.stage2_vc = ip.sa1.arbitrate(eligible);
     // Eligible non-winners lost mSA-I this cycle.
     if (telemetry_ != nullptr && eligible.count() > 1)
@@ -784,7 +747,7 @@ void Router::allocate_branch_vcs(Cycle now, int vc_id, InputVc& ivc) {
   // Trace sampling decision hoisted: every successful allocation below
   // stamps one VA instant on this router's track.
   const bool traced =
-      telemetry_ != nullptr && telemetry_->tracing(ivc.logical());
+      metrics_->tracing(ivc.logical());
 
   if (ivc.rc() == RouteClass::Adaptive) {
     // Adaptive packets are single-branch unicasts whose output port is
@@ -804,10 +767,10 @@ void Router::allocate_branch_vcs(Cycle now, int vc_id, InputVc& ivc) {
               mc, VcLane::Any);
       if (vc >= 0) {
         b.ds_vc = vc;
-        if (energy_) ++energy_->vc_allocations;
+        ++energy_->vc_allocations;
         if (traced)
-          telemetry_->trace(TraceEventType::VaGrant, now, ivc.logical(),
-                            node_);
+          metrics_->on_trace(TraceEventType::VaGrant, now, ivc.logical(),
+                             node_);
       }
       return;
     }
@@ -827,9 +790,9 @@ void Router::allocate_branch_vcs(Cycle now, int vc_id, InputVc& ivc) {
     if (!aim_dead && aim_ds.has_free_vc(mc, VcLane::Free)) {
       b.out = aim;
       b.ds_vc = aim_ds.allocate_vc(mc, VcLane::Free);
-      if (energy_) ++energy_->vc_allocations;
+      ++energy_->vc_allocations;
       if (traced)
-        telemetry_->trace(TraceEventType::VaGrant, now, ivc.logical(), node_);
+        metrics_->on_trace(TraceEventType::VaGrant, now, ivc.logical(), node_);
       return;
     }
     const PortDir esc = faults_ != nullptr ? faults_->escape_next(node_, dest)
@@ -838,9 +801,9 @@ void Router::allocate_branch_vcs(Cycle now, int vc_id, InputVc& ivc) {
     if (esc_ds.has_free_vc(mc, VcLane::Ordered)) {
       b.out = esc;
       b.ds_vc = esc_ds.allocate_vc(mc, VcLane::Ordered);
-      if (energy_) ++energy_->vc_allocations;
+      ++energy_->vc_allocations;
       if (traced)
-        telemetry_->trace(TraceEventType::VaGrant, now, ivc.logical(), node_);
+        metrics_->on_trace(TraceEventType::VaGrant, now, ivc.logical(), node_);
       return;
     }
     // Nothing free anywhere: keep the aim on the best adaptive candidate
@@ -876,9 +839,9 @@ void Router::allocate_branch_vcs(Cycle now, int vc_id, InputVc& ivc) {
         mc, branch_lane(ivc.rc(), b.out));
     if (vc >= 0) {
       b.ds_vc = vc;
-      if (energy_) ++energy_->vc_allocations;
+      ++energy_->vc_allocations;
       if (traced)
-        telemetry_->trace(TraceEventType::VaGrant, now, ivc.logical(), node_);
+        metrics_->on_trace(TraceEventType::VaGrant, now, ivc.logical(), node_);
     }
   }
 }
@@ -900,9 +863,8 @@ void Router::fault_tick(Cycle now) {
         if (!b.drop || b.tail_sent) continue;
         if (!ivc.has_seq(b.next_seq)) continue;  // flit not yet arrived
         const Flit f = ivc.flit_at_seq(b.next_seq);
-        if (is_tail(f.type) && metrics_ != nullptr)
-          metrics_->on_packet_dropped(f.logical_id,
-                                      b.dests.count(), now);
+        if (is_tail(f.type))
+          metrics_->on_packet_dropped(f.logical_id, b.dests.count(), now);
         advance_branch(b, f);
         if (b.tail_sent) --open_drop_branches_;
         swept = true;

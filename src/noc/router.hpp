@@ -126,13 +126,14 @@ class Router {
   /// tick (nullptr = pristine fast path, bit-identical to pre-fault builds).
   void attach_faults(const FaultState* faults) { faults_ = faults; }
 
-  /// Attach the network's telemetry sink (docs/OBSERVABILITY.md). Same
-  /// lifecycle as attach_faults: set once at construction when
-  /// TelemetryConfig::enabled, nullptr otherwise -- every hot-path hook is
-  /// one untaken branch on this pointer. Stall counters are only ever
-  /// charged to busy VCs, which makes the counts bit-identical across
-  /// activity gating and parallel stepping (a sleeping router has no busy
-  /// VCs to charge).
+  /// Attach the network's telemetry sink for stall attribution
+  /// (docs/OBSERVABILITY.md). Same lifecycle as attach_faults: set once at
+  /// construction when TelemetryConfig::enabled, nullptr otherwise -- every
+  /// hot-path hook is one untaken branch on this pointer. Stall counters are
+  /// only ever charged to busy VCs, which makes the counts bit-identical
+  /// across activity gating and parallel stepping (a sleeping router has no
+  /// busy VCs to charge). Packet-lifecycle trace events go through the
+  /// Metrics sink (Metrics::on_trace).
   void attach_telemetry(Telemetry* t) { telemetry_ = t; }
 
   /// The fault schedule changed the surviving topology (link kill or
@@ -141,9 +142,6 @@ class Router {
   /// longer matches convert in place to drop branches (graceful drain;
   /// docs/FAULTS.md). Adaptive packets need nothing -- VA re-aims them.
   void on_topology_change(Cycle now);
-
-  /// Human-readable dump of all non-idle state (debugging stuck networks).
-  void dump_state(FILE* out) const;
 
  private:
   struct GrantOut {

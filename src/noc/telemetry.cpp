@@ -18,14 +18,14 @@ const char* stall_class_name(StallClass c) {
 
 Telemetry::Telemetry(int num_nodes, const TelemetryConfig& cfg)
     : cfg_(cfg),
-      num_nodes_(num_nodes),
-      trace_on_(cfg.trace_sample_every > 0) {
+      num_nodes_(num_nodes) {
   NOC_EXPECTS(num_nodes > 0);
   rows_.resize(static_cast<size_t>(num_nodes));
   samples_.reserve(static_cast<size_t>(cfg_.max_samples > 0 ? cfg_.max_samples
                                                             : 0));
+  const bool tracing = cfg_.trace_sample_every > 0;
   events_.reserve(static_cast<size_t>(
-      trace_on_ && cfg_.max_trace_events > 0 ? cfg_.max_trace_events : 0));
+      tracing && cfg_.max_trace_events > 0 ? cfg_.max_trace_events : 0));
   // Fault schedules are short (tens of events); one page of markers is
   // plenty and keeps record_fault allocation-free mid-run.
   markers_.reserve(256);
@@ -44,7 +44,7 @@ void Telemetry::reset_stalls() {
 void Telemetry::record_fault(Cycle now, FaultKind kind, NodeId a, NodeId b) {
   if (markers_.size() < markers_.capacity())
     markers_.push_back(FaultMarker{now, kind, a, b});
-  if (trace_on_ && events_.size() < events_.capacity())
+  if (cfg_.trace_sample_every > 0 && events_.size() < events_.capacity())
     events_.push_back(TraceEvent{now, 0, 0, TraceEventType::Fault,
                                  static_cast<uint8_t>(kind),
                                  static_cast<int16_t>(a),

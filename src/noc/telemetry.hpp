@@ -21,9 +21,11 @@
 //  4. A packet-lifecycle trace exporter emitting Chrome/Perfetto
 //     trace_event JSON: one track per router, async slices for each
 //     sampled packet's inject->eject life and per-router residency, VA/SA
-//     grants as instants, fault kill/revive as global instants. Packet
-//     tracing is serial-mode only (the event buffer is shared); stall
-//     counters, histograms, and the time series stay parallel-safe.
+//     grants as instants, fault kill/revive as global instants. Routers
+//     and NICs emit trace events through their span's Metrics sink; under
+//     parallel stepping a span captures them beside its packet-lifecycle
+//     events and the main thread replays them in serial (phase, node)
+//     order, so the trace is byte-identical for every step_threads value.
 //
 // The subsystem is always compiled; a Network without
 // TelemetryConfig::enabled never constructs it, and every hot-path hook
@@ -64,7 +66,7 @@ struct TelemetryConfig {
   /// Time-series ring capacity; sampling stops (silently) when full.
   int max_samples = 1 << 14;
   /// Packet-lifecycle trace: sample packets with logical_id % this == 0;
-  /// 0 = no packet trace, 1 = every packet. Serial stepping only.
+  /// 0 = no packet trace, 1 = every packet. Works in every stepping mode.
   uint64_t trace_sample_every = 0;
   /// Trace event buffer capacity; tracing stops when full, keeping
   /// saturated runs bounded.
@@ -103,6 +105,8 @@ struct TraceEvent {
   uint8_t aux = 0;  // FaultKind for Fault, PacketKind for PacketBegin
   int16_t a = -1;   // fault endpoints
   int16_t b = -1;
+
+  friend bool operator==(const TraceEvent&, const TraceEvent&) = default;
 };
 
 /// Fault-schedule marker mirrored into both the time series CSV and the
@@ -156,15 +160,13 @@ class Telemetry {
 
   // --- Packet-lifecycle trace --------------------------------------------
 
-  /// Permanently disable packet tracing (Network calls this when stepping
-  /// in parallel: the event buffer is shared across span workers).
-  void disable_tracing() { trace_on_ = false; }
-  bool tracing_enabled() const { return trace_on_; }
-
-  /// Is this logical packet sampled for tracing? Hot-path guard: callers
-  /// test the Telemetry pointer first, then this.
+  /// Is this logical packet sampled for tracing? Hot-path guard, reached
+  /// through Metrics::tracing. Span workers only read the buffer size:
+  /// with more than one span it grows only on the main thread, in the
+  /// capture replay after the step barriers.
   bool tracing(PacketId logical) const {
-    return trace_on_ && logical % cfg_.trace_sample_every == 0 &&
+    return cfg_.trace_sample_every > 0 &&
+           logical % cfg_.trace_sample_every == 0 &&
            events_.size() < events_.capacity();
   }
   void trace(TraceEventType type, Cycle ts, PacketId id, int node,
@@ -196,7 +198,6 @@ class Telemetry {
 
   TelemetryConfig cfg_;
   int num_nodes_;
-  bool trace_on_;
   std::vector<StallRow> rows_;
   std::vector<TimeSample> samples_;
   std::vector<TraceEvent> events_;

@@ -73,15 +73,6 @@ NodeId TrafficGenerator::pick_unicast_dest() {
     // but the injection *cycles* and packet *types* are identical
     // chip-wide, which is what contends away bypassing at low loads.
     const auto n = static_cast<NodeId>(geom_.num_nodes());
-    if (cfg_.synced_dest_bias) {
-      // Seed-faithful mapping: draws 0 and 1 both land on node+1 (2x
-      // weight, permutation broken). Reachable only via the config flag.
-      const auto draw =
-          static_cast<NodeId>(rng_.next_below(static_cast<uint64_t>(n)));
-      NodeId d = (node_ + draw) % n;
-      if (d == node_) d = (d + 1) % n;
-      return d;
-    }
     // Draw an offset in [1, n) so every non-self destination has equal
     // weight and a synchronized draw is a true permutation.
     const auto draw = static_cast<NodeId>(

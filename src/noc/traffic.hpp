@@ -71,12 +71,6 @@ struct TrafficConfig {
   /// counts its flits once regardless of NIC duplication).
   double offered_flits_per_node_cycle = 0.1;
   bool identical_prbs = false;
-  /// Legacy synchronized-PRBS destination mapping: the seed code mapped
-  /// draws 0 and 1 both onto node+1, giving that destination 2x weight and
-  /// breaking the chip's permutation property. Off by default (the fixed
-  /// mapping draws from n-1 and skips self); kept reachable so old
-  /// fig-bench baselines can be reproduced (see CHANGES.md).
-  bool synced_dest_bias = false;
   /// Broadcast destination sets include the source (Table 1's ejection load
   /// is k^2 R, i.e. self-delivery included).
   bool include_self_in_broadcast = true;

@@ -23,60 +23,5 @@ TEST(RunningStat, EmptyIsSafe) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStat, MergeEqualsCombined) {
-  RunningStat a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.7 - 3;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, MergeWithEmpty) {
-  RunningStat a, empty;
-  a.add(2.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);   // clamps to bucket 0
-  h.add(0.5);
-  h.add(9.5);
-  h.add(100.0);  // clamps to last bucket
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_EQ(h.buckets().front(), 2);
-  EXPECT_EQ(h.buckets().back(), 2);
-}
-
-TEST(Histogram, QuantilesOrdered) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) h.add(i % 100);
-  const double q10 = h.quantile(0.10), q50 = h.quantile(0.50),
-               q99 = h.quantile(0.99);
-  EXPECT_LT(q10, q50);
-  EXPECT_LT(q50, q99);
-  EXPECT_NEAR(q50, 50.0, 2.0);
-}
-
-TEST(RateCounter, Rate) {
-  RateCounter r;
-  r.add(30);
-  r.set_window(100);
-  EXPECT_DOUBLE_EQ(r.rate(), 0.3);
-  r.reset();
-  EXPECT_DOUBLE_EQ(r.rate(), 0.0);
-}
-
 }  // namespace
 }  // namespace noc

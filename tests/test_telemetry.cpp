@@ -13,6 +13,7 @@
 #include "noc/network.hpp"
 #include "noc/telemetry.hpp"
 #include "sim/simulation.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace noc {
 namespace {
@@ -107,8 +108,6 @@ TEST(Telemetry, TraceSamplingAndDisable) {
   Telemetry t(4, cfg);
   EXPECT_TRUE(t.tracing(8));
   EXPECT_FALSE(t.tracing(9));
-  t.disable_tracing();  // what Network does under span-parallel stepping
-  EXPECT_FALSE(t.tracing(8));
 
   TelemetryConfig off;
   off.enabled = true;  // trace_sample_every stays 0
@@ -179,6 +178,68 @@ TEST(Telemetry, ExportersProduceValidArtifacts) {
 
   for (const std::string& p : {trace, ts_csv, ts_json, stalls})
     std::remove(p.c_str());
+}
+
+// Packet tracing works in every stepping mode: spans capture their trace
+// events beside the metrics events and the merge replays them in serial
+// (phase, node) order, so the event list and the exported bytes match a
+// serial run exactly -- with helper threads, and with 4 spans stepped on
+// one worker when the thread budget grants no helpers. The small event cap
+// is reached mid-run, where spans keep capturing until the replay drops
+// the overflow.
+TEST(Telemetry, TraceIdenticalAcrossSteppingModes) {
+  struct Mode {
+    const char* name;
+    int step_threads;
+    int budget;
+  };
+  const int saved_budget = thread_budget::total();
+  for (int max_events : {1 << 16, 3000}) {
+    std::vector<TraceEvent> want_events;
+    std::string want_json;
+    for (const Mode& mode : {Mode{"serial", 1, 8}, Mode{"4 threads", 4, 8},
+                             Mode{"4 spans on one worker", 4, 1}}) {
+      SCOPED_TRACE(std::string(mode.name) +
+                   " max_trace_events=" + std::to_string(max_events));
+      thread_budget::set_total(mode.budget);
+      NetworkConfig cfg = NetworkConfig::proposed(8);
+      cfg.router.routing = RoutePolicy::MinimalAdaptive;
+      cfg.traffic.pattern = TrafficPattern::MixedPaper;
+      cfg.traffic.offered_flits_per_node_cycle = 0.08;
+      cfg.traffic.seed = 7;
+      cfg.telemetry.enabled = true;
+      cfg.telemetry.trace_sample_every = 16;
+      cfg.telemetry.max_trace_events = max_events;
+      cfg.fault.kill_link(300, 27, 28).kill_link(300, 35, 36).revive_link(
+          900, 27, 28);
+      cfg.step_threads = mode.step_threads;
+      Network net(cfg);
+      EXPECT_EQ(net.step_workers(), mode.budget == 1 ? 1 : mode.step_threads);
+      Simulation sim(net);
+      sim.run(1500);
+
+      const Telemetry& t = *net.telemetry();
+      const std::string path = ::testing::TempDir() + "trace_modes.json";
+      EXPECT_TRUE(t.write_perfetto_json(path));
+      const std::string json = slurp(path);
+      std::remove(path.c_str());
+      if (mode.step_threads == 1) {
+        const auto cap = static_cast<size_t>(max_events);
+        if (max_events < (1 << 16)) {
+          EXPECT_EQ(t.trace_events().size(), cap);
+        } else {
+          EXPECT_GT(t.trace_events().size(), 3000u);
+          EXPECT_LT(t.trace_events().size(), cap);
+        }
+        want_events = t.trace_events();
+        want_json = json;
+        continue;
+      }
+      EXPECT_TRUE(t.trace_events() == want_events);
+      EXPECT_TRUE(json == want_json);
+    }
+  }
+  thread_budget::set_total(saved_budget);
 }
 
 // ---------------------------------------------------------------------------

@@ -186,24 +186,6 @@ TEST(Traffic, SyncedPrbsDestinationsAreUnbiased) {
         << "destination " << d << " over/under-weighted";
 }
 
-TEST(Traffic, SyncedPrbsLegacyBiasReachableBehindFlag) {
-  // The seed-faithful mapping stays available for baseline comparisons and
-  // must exhibit exactly the documented artifact: node+1 at ~2x weight.
-  auto cfg = base_cfg(TrafficPattern::UniformRequest, 0.9);
-  cfg.identical_prbs = true;
-  cfg.synced_dest_bias = true;
-  int total = 0;
-  const NodeId node = 9;
-  const auto dests = dest_histogram(cfg, node, 30000, &total);
-  ASSERT_GT(total, 20000);
-  const double hot = dests.at((node + 1) % 16) / static_cast<double>(total);
-  EXPECT_NEAR(hot, 2.0 / 16.0, 0.02);
-  for (const auto& [d, c] : dests) {
-    if (d == (node + 1) % 16) continue;
-    EXPECT_NEAR(c / static_cast<double>(total), 1.0 / 16.0, 0.02);
-  }
-}
-
 TEST(Traffic, SyncedPrbsDrawsFormAPermutation) {
   // All 16 generators share one PRBS stream; at every synchronized fire the
   // relative mapping must scatter them onto 16 DISTINCT destinations (the

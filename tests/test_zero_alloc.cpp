@@ -298,9 +298,10 @@ TEST(ZeroAlloc, TelemetrySteadyState) {
 
 TEST(ZeroAlloc, TelemetryFaultedParallelSteppingSteadyState) {
   // Probes on under span-parallel stepping with a mid-window kill/revive:
-  // tracing auto-disables in parallel mode, but the per-router stall rows,
-  // the main-thread time-series sampling and the fault-marker ring all stay
-  // armed -- and every one of them is preallocated.
+  // the per-router stall rows, the main-thread time-series sampling, the
+  // fault-marker ring and packet tracing (trace events ride the spans'
+  // capture buffers, sized for them at partition time) all stay armed --
+  // and every one of them is preallocated.
   const int saved = noc::thread_budget::total();
   noc::thread_budget::set_total(8);
   NetworkConfig cfg = NetworkConfig::proposed(8);
