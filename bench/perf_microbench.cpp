@@ -227,7 +227,7 @@ void BM_ParallelSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelSweep)
     ->Arg(1)  // serial fallback
-    ->Arg(std::max(2, ThreadPool::hardware_threads()))  // pooled path
+    ->Arg(std::max(2, hardware_threads()))  // pooled path
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

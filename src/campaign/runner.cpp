@@ -215,7 +215,7 @@ RunSummary run_campaign(const Manifest& m, const ResultStore& store,
   }
 
   const int threads =
-      opt.threads > 0 ? opt.threads : ThreadPool::hardware_threads();
+      opt.threads > 0 ? opt.threads : hardware_threads();
   std::mutex mu;
   auto run_wave = [&](const std::vector<const ResolvedPoint*>& wave) {
     std::vector<PointOutcome> outcomes(wave.size());

@@ -186,7 +186,7 @@ std::vector<PointResult> sweep_curve(NetworkConfig cfg,
 }
 
 int ExperimentRunner::threads() const {
-  return opt_.threads > 0 ? opt_.threads : ThreadPool::hardware_threads();
+  return opt_.threads > 0 ? opt_.threads : hardware_threads();
 }
 
 std::vector<PointResult> ExperimentRunner::run(

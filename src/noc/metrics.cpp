@@ -8,27 +8,13 @@
 namespace noc {
 
 Metrics::Metrics(const MeshGeometry& geom)
-    : geom_(geom),
-      link_flits_(static_cast<size_t>(geom.num_nodes())),
-      injection_flits_(static_cast<size_t>(geom.num_nodes()), 0) {
+    : geom_(geom), link_flits_(static_cast<size_t>(geom.num_nodes())) {
   for (auto& arr : link_flits_) arr.fill(0);
 }
 
 void Metrics::on_logical_packet(PacketId logical_id, PacketKind kind,
                                 Cycle gen, int deliveries) {
   NOC_EXPECTS(deliveries > 0);
-  if (shared_ != nullptr) {
-    // Capture shard: open-packet map churn is order-sensitive shared state;
-    // buffer the event for the serial replay after the span barrier.
-    captured_[static_cast<size_t>(capture_phase_)].push_back(
-        {.kind = CapturedMetricsEvent::Kind::LogicalPacket,
-         .pkind = kind,
-         .node = capture_node_,
-         .deliveries = deliveries,
-         .id = logical_id,
-         .cycle = gen});
-    return;
-  }
   auto [slot, inserted] = open_.find_or_insert(logical_id);
   if (inserted) {
     slot->gen = gen;
@@ -42,15 +28,6 @@ void Metrics::on_logical_packet(PacketId logical_id, PacketKind kind,
 }
 
 void Metrics::on_flit_received(PacketId logical_id, const Flit& f, Cycle now) {
-  if (shared_ != nullptr) {
-    captured_[static_cast<size_t>(capture_phase_)].push_back(
-        {.kind = CapturedMetricsEvent::Kind::FlitReceived,
-         .tail = is_tail(f.type),
-         .node = capture_node_,
-         .id = logical_id,
-         .cycle = now});
-    return;
-  }
   apply_flit_received(logical_id, is_tail(f.type), now);
 }
 
@@ -65,24 +42,9 @@ void Metrics::apply_flit_received(PacketId logical_id, bool tail, Cycle now) {
   retire_if_closed(logical_id, op, now);
 }
 
-void Metrics::on_packet_dropped(PacketId logical_id, int count, Cycle now) {
+void Metrics::on_packet_dropped(PacketId logical_id, int count,
+                                Cycle /*now*/) {
   NOC_EXPECTS(count > 0);
-  if (shared_ != nullptr) {
-    // Order-sensitive like the other lifecycle events: buffer for the
-    // serial replay (NIC drops in the inject phase, router drop-branch
-    // retirements in the router phase).
-    captured_[static_cast<size_t>(capture_phase_)].push_back(
-        {.kind = CapturedMetricsEvent::Kind::PacketDropped,
-         .node = capture_node_,
-         .deliveries = count,
-         .id = logical_id,
-         .cycle = now});
-    return;
-  }
-  apply_packet_dropped(logical_id, count);
-}
-
-void Metrics::apply_packet_dropped(PacketId logical_id, int count) {
   OpenPacket* op = open_.find(logical_id);
   NOC_ASSERT(op != nullptr);
   NOC_ASSERT(op->remaining >= count);
@@ -117,44 +79,14 @@ void Metrics::retire_if_closed(PacketId logical_id, OpenPacket* op,
 }
 
 void Metrics::on_link_flit(NodeId node, PortDir port) {
-  // Shards forward per-node counters straight to the shared instance: each
-  // node is ticked by exactly one worker per cycle, so concurrent writers
-  // always hit disjoint counters. in_window_ is only flipped between steps.
-  if (shared_ != nullptr) {
-    shared_->on_link_flit(node, port);
-    return;
-  }
+  // Each node is ticked by exactly one worker per cycle, so concurrent
+  // writers always hit disjoint counters. in_window_ is only flipped
+  // between steps.
   if (!in_window_) return;
   ++link_flits_[static_cast<size_t>(node)][static_cast<size_t>(port_index(port))];
 }
 
-void Metrics::on_injection_link(NodeId node) {
-  if (shared_ != nullptr) {
-    shared_->on_injection_link(node);
-    return;
-  }
-  if (!in_window_) return;
-  ++injection_flits_[static_cast<size_t>(node)];
-}
-
-void Metrics::on_trace(TraceEventType type, Cycle ts, PacketId logical_id,
-                       NodeId track, uint8_t aux) {
-  if (shared_ != nullptr) {
-    captured_[static_cast<size_t>(capture_phase_)].push_back(
-        {.kind = CapturedMetricsEvent::Kind::Trace,
-         .trace_type = type,
-         .aux = aux,
-         .node = capture_node_,
-         .track = track,
-         .id = logical_id,
-         .cycle = ts});
-    return;
-  }
-  telemetry_->trace(type, ts, logical_id, track, aux);
-}
-
 void Metrics::apply(const CapturedMetricsEvent& e) {
-  NOC_EXPECTS(shared_ == nullptr);  // replay targets the shared instance
   switch (e.kind) {
     case CapturedMetricsEvent::Kind::LogicalPacket:
       on_logical_packet(e.id, e.pkind, e.cycle, e.deliveries);
@@ -163,7 +95,7 @@ void Metrics::apply(const CapturedMetricsEvent& e) {
       apply_flit_received(e.id, e.tail, e.cycle);
       break;
     case CapturedMetricsEvent::Kind::PacketDropped:
-      apply_packet_dropped(e.id, e.deliveries);
+      on_packet_dropped(e.id, e.deliveries, e.cycle);
       break;
     case CapturedMetricsEvent::Kind::Trace:
       telemetry_->trace(e.trace_type, e.cycle, e.id, e.track, e.aux);
@@ -183,7 +115,6 @@ void Metrics::begin_window(Cycle now) {
   window_packets_completed_ = 0;
   window_packets_dropped_ = 0;
   for (auto& arr : link_flits_) arr.fill(0);
-  std::fill(injection_flits_.begin(), injection_flits_.end(), 0);
 }
 
 void Metrics::end_window(Cycle now) {

@@ -7,6 +7,12 @@
 // which the paper's saturation definition -- latency reaching 3x the no-load
 // latency -- requires), to the cycle the tail flit is drained at the last
 // destination NIC.
+//
+// Two classes: Metrics is the network-wide aggregate; MetricsRecorder is
+// the sink each step span's routers and NICs record into. A recorder
+// applies to the aggregate at once between steps and buffers inside one
+// for the step merge's serial-order replay (docs/PERF.md Layer 4), so
+// every stepping mode records through the same path.
 
 #include <array>
 #include <cstdint>
@@ -19,6 +25,7 @@
 #include "noc/geometry.hpp"
 #include "noc/routing.hpp"
 #include "noc/telemetry.hpp"
+#include "noc/workload.hpp"
 
 namespace noc {
 
@@ -69,9 +76,9 @@ class LatencyHistogram {
 enum class PacketKind { UnicastRequest, UnicastResponse, Broadcast };
 constexpr int kNumPacketKinds = 3;
 
-/// One deferred packet-lifecycle event recorded by a per-span Metrics shard
-/// during parallel stepping, replayed into the shared Metrics in serial
-/// order (docs/PERF.md Layer 4). `node` is the node whose tick produced the
+/// One deferred packet-lifecycle event buffered by a MetricsRecorder inside
+/// a step and replayed into the aggregate Metrics in serial order
+/// (docs/PERF.md Layer 4). `node` is the node whose tick produced the
 /// event; replay walks nodes in ascending order, which reconstructs the
 /// exact serial call sequence (and therefore the exact floating-point
 /// accumulation order of the latency statistics, and the exact position of
@@ -95,23 +102,29 @@ struct CapturedMetricsEvent {
   Cycle cycle = 0;  // generation, receive/drop cycle, or trace timestamp
 };
 
-/// Tick phases a capture shard distinguishes: events from tick_inject
+/// Tick phases a recorder distinguishes: events from tick_inject
 /// (submission + NIC-duplicated local deliveries + injection-side drops)
 /// replay before any router-tick event (fault-mode drop retirements),
 /// which replay before any tick_eject event -- mirroring the serial phase
-/// order exactly.
+/// order exactly. kNoCapture is the between-steps state: events apply to
+/// the aggregate at once.
 enum : int {
+  kNoCapture = -1,
   kCaptureInject = 0,
   kCaptureRouter = 1,
   kCaptureEject = 2,
   kNumCapturePhases = 3
 };
 
+/// The network-wide aggregate. Routers and NICs never call it directly:
+/// they record through their span's MetricsRecorder (below), which applies
+/// through the on_* methods here, at once between steps and in the serial
+/// replay inside one.
 class Metrics {
  public:
   explicit Metrics(const MeshGeometry& geom);
 
-  // ---- recording interface (called by NICs / routers) ----
+  // ---- apply side (MetricsRecorder, tests) ----
 
   /// A logical packet came into existence. `deliveries` is the number of
   /// tail-flit deliveries required for completion (dest count; for a
@@ -132,62 +145,19 @@ class Metrics {
   void on_packet_dropped(PacketId logical_id, int count, Cycle now);
 
   /// A flit crossed the link leaving `node` through `port` (Local = ejection
-  /// link toward the NIC). Injection links are recorded via
-  /// on_injection_link.
+  /// link toward the NIC). Per-node counters: span workers call this
+  /// concurrently for disjoint nodes, so it touches nothing shared.
   void on_link_flit(NodeId node, PortDir port);
-  void on_injection_link(NodeId node);
 
-  /// Packet-lifecycle trace hooks (docs/OBSERVABILITY.md). tracing() is
-  /// the hot-path guard: false unless a tracing Telemetry is attached and
-  /// samples this logical packet. on_trace() appends the event, or, on a
-  /// capture shard, buffers it beside the lifecycle events so the replay
-  /// puts it exactly where a serial step would.
+  /// Packet-lifecycle trace guard (docs/OBSERVABILITY.md), the hot-path
+  /// test before a trace event is recorded: false unless a tracing
+  /// Telemetry is attached and samples this logical packet.
   bool tracing(PacketId logical_id) const {
     return telemetry_ != nullptr && telemetry_->tracing(logical_id);
   }
-  void on_trace(TraceEventType type, Cycle ts, PacketId logical_id,
-                NodeId track, uint8_t aux = 0);
 
-  // ---- capture shards (parallel stepping, docs/PERF.md Layer 4) ----
-  //
-  // A shard is a Metrics instance owned by one span worker with set_shared()
-  // installed. Its per-node link counters forward straight to the shared
-  // instance (disjoint nodes -> disjoint memory, race-free), while the
-  // order-sensitive packet-lifecycle events (open-packet map churn, latency
-  // RunningStat adds, trace events) are buffered as CapturedMetricsEvents
-  // and replayed by the main thread via apply() in exact serial order after
-  // the barrier.
-
-  /// Turn this instance into a capture shard of `shared` (nullptr reverts).
-  void set_shared(Metrics* shared) { shared_ = shared; }
-  bool is_shard() const { return shared_ != nullptr; }
-
-  /// Pre-size the per-phase capture buffers (zero-alloc invariant: sized at
-  /// partition time for the per-cycle worst case, not grown under load).
-  void reserve_capture(size_t per_phase) {
-    for (auto& buf : captured_) buf.reserve(per_phase);
-  }
-
-  /// Tag subsequent captured events with the NIC phase and node whose tick
-  /// is about to run. Shard-only.
-  void set_capture_point(int phase, NodeId node) {
-    capture_phase_ = phase;
-    capture_node_ = node;
-  }
-
-  const std::vector<CapturedMetricsEvent>& captured(int phase) const {
-    return captured_[static_cast<size_t>(phase)];
-  }
-  bool captured_empty() const {
-    for (const auto& buf : captured_)
-      if (!buf.empty()) return false;
-    return true;
-  }
-  void clear_captured() {
-    for (auto& buf : captured_) buf.clear();
-  }
-
-  /// Replay one captured event into this (shared) instance.
+  /// Apply one event a MetricsRecorder recorded: at once between steps,
+  /// in the serial-order replay inside one.
   void apply(const CapturedMetricsEvent& e);
 
   // ---- measurement window ----
@@ -208,8 +178,8 @@ class Metrics {
 
   /// Exact window latency histograms (docs/OBSERVABILITY.md). Always on:
   /// recording is one inline-array increment per completed packet, and it
-  /// happens where packets retire -- on the shared instance only, after
-  /// capture replay -- so serial and parallel stepping fill identical bins.
+  /// happens where packets retire in this aggregate, which the recorders
+  /// feed in serial order, so every stepping mode fills identical bins.
   const LatencyHistogram& latency_hist() const { return hist_all_; }
   const LatencyHistogram& latency_hist(PacketKind k) const {
     return hist_by_kind_[static_cast<int>(k)];
@@ -249,8 +219,8 @@ class Metrics {
                       [static_cast<size_t>(port_index(port))];
   }
 
-  /// Attach the telemetry sink for packet-lifecycle trace events (the
-  /// shared instance and every capture shard). Null detaches.
+  /// Attach the telemetry sink for packet-lifecycle trace events. Null
+  /// detaches.
   void set_telemetry(Telemetry* t) { telemetry_ = t; }
 
  private:
@@ -262,14 +232,9 @@ class Metrics {
   };
 
   void apply_flit_received(PacketId logical_id, bool tail, Cycle now);
-  void apply_packet_dropped(PacketId logical_id, int count);
   void retire_if_closed(PacketId logical_id, OpenPacket* op, Cycle now);
 
   const MeshGeometry& geom_;
-  Metrics* shared_ = nullptr;  // non-null: this instance is a capture shard
-  int capture_phase_ = kCaptureInject;
-  NodeId capture_node_ = 0;
-  std::vector<CapturedMetricsEvent> captured_[kNumCapturePhases];
   /// Flat open-addressing map: insert/erase churn is allocation-free once
   /// the pre-reserved capacity covers the in-flight packet high-water mark.
   U64FlatMap<OpenPacket> open_{4096};
@@ -293,7 +258,114 @@ class Metrics {
 
   // link flit counters, window-scoped: [node][port]
   std::vector<std::array<int64_t, kNumPorts>> link_flits_;
-  std::vector<int64_t> injection_flits_;
+};
+
+/// The one sink routers and NICs record into (docs/PERF.md Layer 4). Each
+/// step span holds one by value. Between steps only the main thread runs,
+/// so every event applies to the aggregate Metrics (or the recorded Trace)
+/// at once. Inside a step -- from the first set_capture_point until the
+/// merge calls end_capture -- span workers run side by side, so the
+/// order-sensitive events (open-packet map churn, latency adds, trace
+/// events, recorded workload packets) are buffered tagged with (phase,
+/// node) for the main thread's serial-order replay. Per-node link counts
+/// touch disjoint counters and forward at once in either state. A recorder
+/// holds nothing but these buffers.
+class MetricsRecorder {
+ public:
+  explicit MetricsRecorder(Metrics* sink = nullptr) : sink_(sink) {}
+
+  // ---- recording interface (routers and NICs) ----
+
+  void on_logical_packet(PacketId logical_id, PacketKind kind, Cycle gen,
+                         int deliveries) {
+    record({.kind = CapturedMetricsEvent::Kind::LogicalPacket,
+            .pkind = kind,
+            .deliveries = deliveries,
+            .id = logical_id,
+            .cycle = gen});
+  }
+  void on_flit_received(PacketId logical_id, const Flit& f, Cycle now) {
+    record({.kind = CapturedMetricsEvent::Kind::FlitReceived,
+            .tail = is_tail(f.type),
+            .id = logical_id,
+            .cycle = now});
+  }
+  void on_packet_dropped(PacketId logical_id, int count, Cycle now) {
+    record({.kind = CapturedMetricsEvent::Kind::PacketDropped,
+            .deliveries = count,
+            .id = logical_id,
+            .cycle = now});
+  }
+  void on_link_flit(NodeId node, PortDir port) {
+    sink_->on_link_flit(node, port);
+  }
+  bool tracing(PacketId logical_id) const {
+    return sink_->tracing(logical_id);
+  }
+  void on_trace(TraceEventType type, Cycle ts, PacketId logical_id,
+                NodeId track, uint8_t aux = 0) {
+    record({.kind = CapturedMetricsEvent::Kind::Trace,
+            .trace_type = type,
+            .aux = aux,
+            .track = track,
+            .id = logical_id,
+            .cycle = ts});
+  }
+  /// Workload-trace recording (Network::record_trace): true while a Trace
+  /// is attached; on_record appends one submitted packet to it.
+  bool recording() const { return records_out_ != nullptr; }
+  void on_record(const TraceRecord& r) {
+    if (phase_ == kNoCapture)
+      records_out_->push_back(r);
+    else
+      records_.push_back(r);
+  }
+
+  // ---- capture control (Network) ----
+
+  /// Attach (or, with nullptr, detach) the recorded Trace's records; a
+  /// step buffers at most `per_step` of them. Between steps only.
+  void record_into(std::vector<TraceRecord>* out, size_t per_step) {
+    records_out_ = out;
+    if (out != nullptr) records_.reserve(per_step);
+  }
+  /// Pre-size one phase's event buffer for the per-step worst case
+  /// (zero-alloc invariant: sized at partition time, not grown under load).
+  void reserve(int phase, size_t events) {
+    captured_[static_cast<size_t>(phase)].reserve(events);
+  }
+  /// Tag subsequent events with the tick phase and node about to run.
+  void set_capture_point(int phase, NodeId node) {
+    phase_ = phase;
+    node_ = node;
+  }
+  const std::vector<CapturedMetricsEvent>& captured(int phase) const {
+    return captured_[static_cast<size_t>(phase)];
+  }
+  const std::vector<TraceRecord>& records() const { return records_; }
+  /// The merge replayed the buffers: drop them and apply at once again.
+  void end_capture() {
+    for (auto& buf : captured_) buf.clear();
+    records_.clear();
+    phase_ = kNoCapture;
+  }
+
+ private:
+  void record(CapturedMetricsEvent e) {
+    if (phase_ == kNoCapture) {
+      sink_->apply(e);
+      return;
+    }
+    e.node = node_;
+    captured_[static_cast<size_t>(phase_)].push_back(e);
+  }
+
+  Metrics* sink_;
+  std::vector<TraceRecord>* records_out_ = nullptr;
+  int phase_ = kNoCapture;
+  NodeId node_ = 0;
+  std::vector<CapturedMetricsEvent> captured_[kNumCapturePhases];
+  std::vector<TraceRecord> records_;
 };
 
 }  // namespace noc

@@ -65,40 +65,38 @@ Network::Network(const NetworkConfig& cfg)
   part_ = SpanPartition(geom_,
                         SpanPartition::clamp_spans(geom_, cfg.step_threads));
   spans_.resize(static_cast<size_t>(part_.num_spans()));
-  const bool sharded = spans_.size() > 1;
   // Telemetry sink (docs/OBSERVABILITY.md). Every probe works in every
   // stepping mode: stall rows are per-router (one worker each), histograms
-  // and packet-lifecycle trace events ride the capture-replay path, and
-  // the time series samples on the main thread after the merge.
+  // and packet-lifecycle trace events ride the recorders' replay, and the
+  // time series samples on the main thread after the merge.
   if (cfg.telemetry.enabled) {
     telemetry_ = std::make_unique<Telemetry>(n, cfg.telemetry);
     metrics_.set_telemetry(telemetry_.get());
   }
+  // Per-step worst case of captured events per node, by tick phase.
+  // Inject: the packet submission, a fault-mode drop at the door, and,
+  // when the routers cannot fork, the local flit deliveries of a
+  // NIC-duplicated broadcast. Router: a faulted network retires up to one
+  // drop per input VC. Eject: the drained flit. A tracing network adds the
+  // NICs' begin and eject events and the router's own: per input port at
+  // most two hop begins (a lookahead head and a buffered head), one hop end
+  // per VC, one SA grant, and one VA grant per output branch.
+  const bool faulted = !cfg.fault.empty();
+  const bool tracing =
+      cfg.telemetry.enabled && cfg.telemetry.trace_sample_every > 0;
+  const int per_node[kNumCapturePhases] = {
+      1 + (faulted ? 1 : 0) + (cfg.router.multicast ? 0 : kMaxPacketFlits) +
+          (tracing ? 1 : 0),
+      (faulted ? kNumPorts * kMaxTotalVcs : 0) +
+          (tracing ? kNumPorts * (3 + kMaxTotalVcs + kNumPorts) : 0),
+      1 + (tracing ? 1 : 0)};
   for (int s = 0; s < part_.num_spans(); ++s) {
     StepSpan& sp = spans_[static_cast<size_t>(s)];
     for (NodeId node : part_.nodes_of(s)) sp.owned.set(node);
-    if (!sharded) {
-      sp.metrics = &metrics_;
-      continue;
-    }
-    sp.shard = std::make_unique<Metrics>(geom_);
-    sp.shard->set_shared(&metrics_);
-    sp.shard->set_telemetry(telemetry_.get());
-    // Per-cycle worst case per node: one packet submission plus the local
-    // flit deliveries of a NIC-duplicated broadcast in the inject phase,
-    // one drained flit in the eject phase. 8 covers both with slack. A
-    // faulted network additionally retires router-phase drop events -- up
-    // to one per input VC per node per cycle. A tracing network adds the
-    // router's trace events: per input port at most two hop begins (a
-    // lookahead head and a buffered head), one hop end per VC, one SA
-    // grant, and one VA grant per output branch.
-    size_t per_node = 8;
-    if (!cfg.fault.empty()) per_node += kNumPorts * kMaxTotalVcs;
-    if (cfg.telemetry.enabled && cfg.telemetry.trace_sample_every > 0)
-      per_node += kNumPorts * (3 + kMaxTotalVcs + kNumPorts);
-    sp.shard->reserve_capture(static_cast<size_t>(sp.owned.count()) *
-                              per_node);
-    sp.metrics = sp.shard.get();
+    sp.rec = MetricsRecorder(&metrics_);
+    for (int phase = 0; phase < kNumCapturePhases; ++phase)
+      sp.rec.reserve(phase, static_cast<size_t>(sp.owned.count() *
+                                                per_node[phase]));
   }
 
   routers_.reserve(static_cast<size_t>(n));
@@ -113,13 +111,13 @@ Network::Network(const NetworkConfig& cfg)
   for (NodeId node = 0; node < n; ++node) {
     routers_.push_back(std::make_unique<Router>(node, geom_, cfg.router,
                                                 &span_of(node).energy,
-                                                span_of(node).metrics));
+                                                &span_of(node).rec));
     sources_.push_back(
         make_traffic_source(geom_, cfg.traffic, cfg.workload, node, trace));
     nics_.push_back(std::make_unique<Nic>(node, geom_, cfg.router,
                                           sources_.back().get(),
                                           &span_of(node).energy,
-                                          span_of(node).metrics));
+                                          &span_of(node).rec));
     if (fault_state_.enabled()) {
       routers_.back()->attach_faults(&fault_state_);
       nics_.back()->attach_faults(&fault_state_);
@@ -246,10 +244,8 @@ Network::Network(const NetworkConfig& cfg)
   // lifetime. A serial network, or a lease of 0 (budget exhausted, nested
   // parallelism), gets a one-worker team whose run() is a direct call: the
   // caller then steps the spans one after another, still through the
-  // sharded datapath, so results stay identical.
-  if (sharded)
-    budget_lease_ =
-        thread_budget::acquire(static_cast<int>(spans_.size()) - 1);
+  // same schedule, so results stay identical.
+  budget_lease_ = thread_budget::acquire(static_cast<int>(spans_.size()) - 1);
   team_ = std::make_unique<StepTeam>(budget_lease_ + 1);
 }
 
@@ -318,15 +314,16 @@ void Network::setup_activity() {
 //      span-owned state; sends on cross-span channels only stage.
 //   B. commit   -- each owner replays the messages other spans staged into
 //      its boundary channels, through the normal send path.
-//   C. merge    (main thread) -- replay captured metrics and trace events
-//      in exact serial order (inject, router, then eject phase, ascending
-//      node within each) and append recorded workload packets in ascending
-//      source order. Energy needs no merge: each span owns integer
-//      counters that energy() sums on demand.
+//   C. merge    (main thread) -- replay the recorders' captured metrics
+//      and trace events in exact serial order (inject, router, then eject
+//      phase, ascending node within each), append recorded workload
+//      packets in ascending source order, and return every recorder to
+//      applying at once for the between-step window. Energy needs no
+//      merge: each span owns integer counters that energy() sums on demand.
 //
 // Serial stepping is this schedule with one span on a one-worker team:
-// nothing crosses, the components write the globals directly, and B and C
-// are no-ops. Bit-identity across span counts and worker counts holds
+// nothing crosses, so B is a no-op, and C replays one buffer in order.
+// Bit-identity across span counts and worker counts holds
 // because phase A is span-isolated, every within-cycle wake is intra-node,
 // every cross-node interaction crosses a latency>=1 channel (visible only
 // after the next cycle's begin_cycle), and phase C reconstructs the serial
@@ -334,7 +331,6 @@ void Network::setup_activity() {
 
 void Network::step(Cycle now) {
   apply_faults(now);
-  flush_external_captures();
   StepCtx ctx{this, now};
   team_->run(&Network::compute_thunk, &ctx);
   team_->run(&Network::commit_thunk, &ctx);
@@ -463,7 +459,7 @@ void Network::span_begin(StepSpan& sp, Cycle now) {
 //    if the source promised a future fire.
 void Network::span_inject_tick(StepSpan& sp, int node, Cycle now) {
   const auto i = static_cast<size_t>(node);
-  sp.metrics->set_capture_point(kCaptureInject, node);
+  sp.rec.set_capture_point(kCaptureInject, node);
   nics_[i]->tick_inject(now);
   if (!cfg_.activity_gating || nics_[i]->inject_busy()) return;
   const Cycle wake = sources_[i]->next_fire_cycle(now + 1);
@@ -480,7 +476,7 @@ void Network::span_inject_tick(StepSpan& sp, int node, Cycle now) {
 //    cycle-derived), so sleeping preserves bit-identical metrics.
 void Network::span_router_tick(StepSpan& sp, int node, Cycle now) {
   const auto i = static_cast<size_t>(node);
-  sp.metrics->set_capture_point(kCaptureRouter, node);
+  sp.rec.set_capture_point(kCaptureRouter, node);
   routers_[i]->tick(now);
   if (cfg_.activity_gating && routers_[i]->idle()) sp.router_awake.clear(node);
 }
@@ -488,7 +484,7 @@ void Network::span_router_tick(StepSpan& sp, int node, Cycle now) {
 // 4. NIC ejection halves.
 void Network::span_eject_tick(StepSpan& sp, int node, Cycle now) {
   const auto i = static_cast<size_t>(node);
-  sp.metrics->set_capture_point(kCaptureEject, node);
+  sp.rec.set_capture_point(kCaptureEject, node);
   nics_[i]->tick_eject(now);
   if (cfg_.activity_gating && !nics_[i]->eject_busy())
     sp.eject_awake.clear(node);
@@ -513,66 +509,55 @@ void Network::span_commit(StepSpan& sp, Cycle now) {
   for (auto* ch : sp.cross_la) ch->commit_staged(now);
 }
 
-// Packets submitted through a NIC between steps (tests, external drivers)
-// land in the owner shard tagged with a stale capture point. Their events
-// (packet creation, NIC-duplicated local deliveries) commute across
-// distinct packets, so applying them span-by-span before the cycle starts
-// reproduces the serial bookkeeping exactly. Their recorded workload
-// packets are appended in span order.
-void Network::flush_external_captures() {
-  if (spans_.size() == 1) return;  // one span records into the globals
-  for (auto& sp : spans_) {
-    if (!sp.shard->captured_empty()) {
-      for (int phase = 0; phase < kNumCapturePhases; ++phase)
-        for (const auto& e : sp.shard->captured(phase)) metrics_.apply(e);
-      sp.shard->clear_captured();
-    }
-    if (!sp.trace.empty()) {
-      trace_out_->records.insert(trace_out_->records.end(), sp.trace.begin(),
-                                 sp.trace.end());
-      sp.trace.clear();
-    }
-  }
-}
+namespace {
+
+// The node whose tick buffered an entry: the merge's order key.
+NodeId origin(const CapturedMetricsEvent& e) { return e.node; }
+NodeId origin(const TraceRecord& r) { return r.src; }
+
+}  // namespace
 
 void Network::merge_spans() {
-  if (spans_.size() == 1) return;  // one span records into the globals
-  // Deterministic merge, main thread. Captured events replay in the serial
-  // call order -- inject-phase events, then router-phase, then eject-phase,
-  // ascending node id within each; each span captured its own nodes in
-  // ascending order, so a per-span cursor walk needs no sorting.
-  const int n = geom_.num_nodes();
-  for (int phase = 0; phase < kNumCapturePhases; ++phase) {
+  // Deterministic merge, main thread. Each span buffered its own nodes'
+  // entries in ascending node order, so merging the spans' buffers by
+  // head node restores a serial step's order with no sorting; a step that
+  // captured nothing costs one empty test per span and buffer.
+  auto replay = [&](auto buffer_of, auto apply) {
     for (auto& sp : spans_) sp.replay_cursor = 0;
-    for (NodeId node = 0; node < n; ++node) {
-      StepSpan& sp = span_of(node);
-      const auto& buf = sp.shard->captured(phase);
-      while (sp.replay_cursor < buf.size() &&
-             buf[sp.replay_cursor].node == node)
-        metrics_.apply(buf[sp.replay_cursor++]);
+    for (;;) {
+      StepSpan* next = nullptr;  // the span holding the lowest pending node
+      NodeId node = 0;
+      for (auto& sp : spans_) {
+        const auto& buf = buffer_of(sp);
+        if (sp.replay_cursor == buf.size()) continue;
+        const NodeId head = origin(buf[sp.replay_cursor]);
+        if (next == nullptr || head < node) {
+          next = &sp;
+          node = head;
+        }
+      }
+      if (next == nullptr) return;
+      const auto& buf = buffer_of(*next);
+      while (next->replay_cursor < buf.size() &&
+             origin(buf[next->replay_cursor]) == node)
+        apply(buf[next->replay_cursor++]);
     }
-  }
-  for (auto& sp : spans_) sp.shard->clear_captured();
-  if (trace_out_ == nullptr) return;
+  };
+  // Events replay in the serial call order: inject-phase events, then
+  // router-phase, then eject-phase.
+  for (int phase = 0; phase < kNumCapturePhases; ++phase)
+    replay([phase](const StepSpan& sp) -> const auto& {
+             return sp.rec.captured(phase);
+           },
+           [this](const CapturedMetricsEvent& e) { metrics_.apply(e); });
   // Packets are submitted only in the inject phase, at most one per NIC
   // tick: ascending source order is the order a serial step appends them.
-  for (auto& sp : spans_) sp.replay_cursor = 0;
-  for (NodeId node = 0; node < n; ++node) {
-    StepSpan& sp = span_of(node);
-    while (sp.replay_cursor < sp.trace.size() &&
-           sp.trace[sp.replay_cursor].src == node)
-      trace_out_->records.push_back(sp.trace[sp.replay_cursor++]);
-  }
-  for (auto& sp : spans_) {
-    NOC_ASSERT(sp.replay_cursor == sp.trace.size());
-    sp.trace.clear();
-  }
+  replay([](const StepSpan& sp) -> const auto& { return sp.rec.records(); },
+         [this](const TraceRecord& r) { trace_out_->records.push_back(r); });
+  for (auto& sp : spans_) sp.rec.end_capture();
 }
 
 void Network::record_trace(Trace* out) {
-  // Hand records still buffered from between-step submissions to the
-  // trace they were recorded for.
-  flush_external_captures();
   trace_out_ = out;
   if (out != nullptr) {
     // Stamp the capture geometry so replay layers can reject a trace fed
@@ -580,17 +565,10 @@ void Network::record_trace(Trace* out) {
     out->kx = geom_.kx();
     out->ky = geom_.ky();
   }
-  // One span appends straight to the trace; more spans buffer per span
-  // (at most one submission per owned NIC per step) for merge_spans.
-  const bool sharded = spans_.size() > 1;
-  if (sharded && out != nullptr)
-    for (auto& sp : spans_)
-      sp.trace.reserve(static_cast<size_t>(sp.owned.count()));
-  for (NodeId node = 0; node < geom_.num_nodes(); ++node) {
-    std::vector<TraceRecord>* sink = nullptr;
-    if (out != nullptr) sink = sharded ? &span_of(node).trace : &out->records;
-    nics_[static_cast<size_t>(node)]->set_trace_recorder(sink);
-  }
+  // A step buffers at most one submission per owned NIC.
+  for (auto& sp : spans_)
+    sp.rec.record_into(out != nullptr ? &out->records : nullptr,
+                       static_cast<size_t>(sp.owned.count()));
 }
 
 void Network::begin_measurement_window(Cycle now) {
@@ -627,7 +605,7 @@ bool Network::quiescent() const {
   if (metrics_.open_packets() != 0) return false;
   // The aggregate counter covers flit, credit AND lookahead channels: the
   // old flit-only scan let a drain phase end with a credit still on a wire,
-  // corrupting back-to-back measurement windows. The count is sharded per
+  // corrupting back-to-back measurement windows. The count is kept per
   // span.
   if (channel_items() != 0) return false;
   for (const auto& r : routers_)

@@ -12,9 +12,11 @@
 // each span delivers its owned channels, then ticks its NIC injection
 // halves, routers and NIC ejection halves. A worker team runs a fixed
 // two-phase barrier schedule: compute span-local state, barrier, commit
-// cross-span channel sends, barrier, then the main thread replays the
-// spans' captured metrics and trace events, and their recorded workload
-// packets, in deterministic (phase, node) order. Serial stepping is one
+// cross-span channel sends, barrier, then the main thread replays what
+// the spans' MetricsRecorders buffered -- metrics and trace events, and
+// recorded workload packets -- in deterministic (phase, node) order.
+// Between steps the recorders apply at once, so a packet submitted there
+// is counted before the next step in every mode. Serial stepping is one
 // span on a one-worker team; a network whose thread budget granted no
 // helpers steps its spans on a one-worker team too. Results -- metrics,
 // energy counters, Perfetto trace events and recorded traces -- are
@@ -124,10 +126,9 @@ class Network : public Steppable {
   TrafficSource& source(NodeId n) { return *sources_[static_cast<size_t>(n)]; }
 
   /// Capture every logical packet submitted at any NIC into `out`
-  /// (replayable through WorkloadKind::Trace). Pass nullptr to stop. With
-  /// more than one span, records reach `out` at the end of each step, in
-  /// serial order; packets submitted between steps are appended, in span
-  /// order, when the next step (or record_trace call) begins.
+  /// (replayable through WorkloadKind::Trace). Pass nullptr to stop.
+  /// Packets submitted inside a step reach `out` at the end of that step,
+  /// in serial order; packets submitted between steps at once.
   void record_trace(Trace* out);
 
   /// Open the metrics window and reset every source's per-window stats
@@ -175,12 +176,10 @@ class Network : public Steppable {
  private:
   /// Everything one worker exclusively owns while stepping its column span.
   /// Serial stepping is a single span that owns every node and channel.
-  /// Components always count energy into their span's counters. A single
-  /// span records metrics, trace events and workload records straight into
-  /// the globals; with more spans, components record into the span's
-  /// capture-mode metrics shard and trace-record buffer, which the main
-  /// thread drains each cycle in deterministic order. All scratch is sized
-  /// at partition time (zero-alloc invariant).
+  /// Components count energy into their span's counters and record
+  /// metrics, trace events and workload records through its recorder,
+  /// which the main thread drains each step in deterministic order. All
+  /// scratch is sized at partition time (zero-alloc invariant).
   struct StepSpan {
     DestMask owned;  // the span's nodes: the ungated pass set
     // Owned channels (receiver in span) per pool, and the deferred subset
@@ -200,10 +199,8 @@ class Network : public Steppable {
     DestMask inject_awake;
     DestMask eject_awake;
     Cycle next_timed_wake = kCycleNever;
-    Metrics* metrics = nullptr;       // the global, or shard.get()
-    std::unique_ptr<Metrics> shard;   // capture shard (more than one span)
-    EnergyCounters energy;            // the span's routers and NICs
-    std::vector<TraceRecord> trace;   // recorded packets (more than one span)
+    MetricsRecorder rec;   // the span's routers' and NICs' recording sink
+    EnergyCounters energy; // the span's routers and NICs
     size_t replay_cursor = 0;
   };
 
@@ -242,7 +239,6 @@ class Network : public Steppable {
   void span_inject_tick(StepSpan& sp, int node, Cycle now);
   void span_router_tick(StepSpan& sp, int node, Cycle now);
   void span_eject_tick(StepSpan& sp, int node, Cycle now);
-  void flush_external_captures();
   void merge_spans();
   static void compute_thunk(void* ctx, int worker);
   static void commit_thunk(void* ctx, int worker);

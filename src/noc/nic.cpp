@@ -1,12 +1,12 @@
 #include "noc/nic.hpp"
 
 #include "noc/route_policy.hpp"
-#include "noc/workload.hpp"
 
 namespace noc {
 
 Nic::Nic(NodeId node, const MeshGeometry& geom, const RouterConfig& router_cfg,
-         TrafficSource* source, EnergyCounters* energy, Metrics* metrics)
+         TrafficSource* source, EnergyCounters* energy,
+         MetricsRecorder* metrics)
     : node_(node),
       geom_(geom),
       router_cfg_(router_cfg),
@@ -30,10 +30,9 @@ PacketKind Nic::classify(const Packet& pkt) const {
                                       : PacketKind::UnicastRequest;
 }
 
-void Nic::account_new_packet(const Packet& pkt, Cycle now) {
+void Nic::account_new_packet(const Packet& pkt) {
   metrics_->on_logical_packet(pkt.id, classify(pkt), pkt.gen_cycle,
                               pkt.dest_mask.count());
-  (void)now;
 }
 
 void Nic::enqueue_for_send(Packet pkt) {
@@ -51,10 +50,11 @@ void Nic::submit_packet(Packet pkt) {
   // injection half runs next step (self-submissions fire it redundantly,
   // which is harmless).
   wake_inject_.fire();
-  if (trace_out_ != nullptr)
-    trace_out_->push_back(
+  // Workload-trace recording is off the steady-state no-allocation path.
+  if (metrics_->recording())
+    metrics_->on_record(
         {pkt.gen_cycle, node_, pkt.dest_mask, pkt.length, pkt.mc});
-  account_new_packet(pkt, pkt.gen_cycle);
+  account_new_packet(pkt);
   if (metrics_->tracing(pkt.effective_logical_id()))
     metrics_->on_trace(TraceEventType::PacketBegin, pkt.gen_cycle,
                        pkt.effective_logical_id(), node_,
@@ -164,7 +164,6 @@ void Nic::send_flit(MsgClass mc, Cycle now) {
   NOC_ASSERT(ch_.flit_to_router != nullptr);
   ch_.flit_to_router->send(now, f);
   ++energy_->nic_link_traversals;
-  metrics_->on_injection_link(node_);
   if (router_cfg_.has_bypass() && ch_.la_to_router != nullptr) {
     Lookahead la;
     la.in_port = port_index(PortDir::Local);

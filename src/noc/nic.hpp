@@ -21,6 +21,11 @@
 // bounds broadcast throughput in Table 1. Every drained flit is reported
 // back to the TrafficSource so closed-loop workloads can react to
 // deliveries.
+//
+// Packet accounting, trace events and recorded workload packets all go
+// through the owning span's MetricsRecorder (noc/metrics.hpp), which
+// applies them at once between steps and buffers them for the serial
+// replay inside one.
 
 #include <optional>
 #include <vector>
@@ -35,8 +40,6 @@
 
 namespace noc {
 
-struct TraceRecord;  // noc/workload.hpp
-
 class Nic {
  public:
   struct Channels {
@@ -49,7 +52,8 @@ class Nic {
 
   /// `source` must outlive the NIC (the Network owns both).
   Nic(NodeId node, const MeshGeometry& geom, const RouterConfig& router_cfg,
-      TrafficSource* source, EnergyCounters* energy, Metrics* metrics);
+      TrafficSource* source, EnergyCounters* energy,
+      MetricsRecorder* metrics);
 
   void connect(const Channels& ch) { ch_ = ch; }
 
@@ -61,12 +65,6 @@ class Nic {
   /// Enqueue an externally-constructed packet (examples/tests drive the
   /// network directly through this).
   void submit_packet(Packet pkt);
-
-  /// When set, every logical packet submitted at this NIC is appended to
-  /// `out` as a TraceRecord: the recorded Trace's records, or the owning
-  /// span's buffer (see Network::record_trace). Recording is off the
-  /// steady-state no-allocation path.
-  void set_trace_recorder(std::vector<TraceRecord>* out) { trace_out_ = out; }
 
   /// Installed by a gating Network: fired whenever this NIC's injection
   /// half may have new work (an external submit_packet, or a delivery that
@@ -100,7 +98,7 @@ class Nic {
   };
 
   PacketKind classify(const Packet& pkt) const;
-  void account_new_packet(const Packet& pkt, Cycle now);
+  void account_new_packet(const Packet& pkt);
   void enqueue_for_send(Packet pkt);
   bool try_activate(MsgClass mc);
   bool can_send(MsgClass mc) const;
@@ -110,10 +108,9 @@ class Nic {
   const MeshGeometry& geom_;
   RouterConfig router_cfg_;
   EnergyCounters* energy_;
-  Metrics* metrics_;
+  MetricsRecorder* metrics_;
   TrafficSource* source_;
   const FaultState* faults_ = nullptr;
-  std::vector<TraceRecord>* trace_out_ = nullptr;
   WakeHook wake_inject_;
   Channels ch_;
 

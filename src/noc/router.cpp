@@ -7,7 +7,7 @@
 namespace noc {
 
 Router::Router(NodeId node, const MeshGeometry& geom, const RouterConfig& cfg,
-               EnergyCounters* energy, Metrics* metrics)
+               EnergyCounters* energy, MetricsRecorder* metrics)
     : node_(node), geom_(geom), cfg_(cfg), energy_(energy), metrics_(metrics) {
   NOC_EXPECTS(energy != nullptr && metrics != nullptr);
   // Lane-splitting policies partition each message class's VCs; a class

@@ -97,7 +97,7 @@ class Router {
   };
 
   Router(NodeId node, const MeshGeometry& geom, const RouterConfig& cfg,
-         EnergyCounters* energy, Metrics* metrics);
+         EnergyCounters* energy, MetricsRecorder* metrics);
 
   void connect(PortDir port, const PortChannels& ch);
 
@@ -133,7 +133,7 @@ class Router {
   /// only ever charged to busy VCs, which makes the counts bit-identical
   /// across activity gating and parallel stepping (a sleeping router has no
   /// busy VCs to charge). Packet-lifecycle trace events go through the
-  /// Metrics sink (Metrics::on_trace).
+  /// span's MetricsRecorder (MetricsRecorder::on_trace).
   void attach_telemetry(Telemetry* t) { telemetry_ = t; }
 
   /// The fault schedule changed the surviving topology (link kill or
@@ -280,7 +280,7 @@ class Router {
   const MeshGeometry& geom_;
   RouterConfig cfg_;
   EnergyCounters* energy_;
-  Metrics* metrics_;
+  MetricsRecorder* metrics_;
   /// Fault-schedule view (nullptr on pristine networks: every fault check
   /// compiles to one branch on this pointer). Updated by the Network on the
   /// main thread at cycle boundaries only.

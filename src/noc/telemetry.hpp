@@ -12,7 +12,7 @@
 //     are bit-identical across activity gating and parallel stepping by
 //     construction.
 //  2. Latency histograms live in Metrics (noc/metrics.hpp), not here: they
-//     are fed where packets retire, which the capture-replay path already
+//     are fed where packets retire, which the recorders' replay already
 //     serializes for serial/parallel bit-identity.
 //  3. A cycle-sampled time series (sample_every) recording injected /
 //     delivered flits, open packets, awake-router count, and the fault
@@ -22,10 +22,10 @@
 //     trace_event JSON: one track per router, async slices for each
 //     sampled packet's inject->eject life and per-router residency, VA/SA
 //     grants as instants, fault kill/revive as global instants. Routers
-//     and NICs emit trace events through their span's Metrics sink; under
-//     parallel stepping a span captures them beside its packet-lifecycle
-//     events and the main thread replays them in serial (phase, node)
-//     order, so the trace is byte-identical for every step_threads value.
+//     and NICs emit trace events through their span's MetricsRecorder,
+//     which inside a step captures them beside its packet-lifecycle
+//     events for the main thread's serial (phase, node) replay, so the
+//     trace is byte-identical for every step_threads value.
 //
 // The subsystem is always compiled; a Network without
 // TelemetryConfig::enabled never constructs it, and every hot-path hook
@@ -161,9 +161,9 @@ class Telemetry {
   // --- Packet-lifecycle trace --------------------------------------------
 
   /// Is this logical packet sampled for tracing? Hot-path guard, reached
-  /// through Metrics::tracing. Span workers only read the buffer size:
-  /// with more than one span it grows only on the main thread, in the
-  /// capture replay after the step barriers.
+  /// through MetricsRecorder::tracing. Span workers only read the buffer
+  /// size: inside a step it grows only on the main thread, in the replay
+  /// after the step barriers.
   bool tracing(PacketId logical) const {
     return cfg_.trace_sample_every > 0 &&
            logical % cfg_.trace_sample_every == 0 &&

@@ -37,8 +37,8 @@ std::optional<TrafficPattern> parse_traffic_pattern(std::string_view name) {
   return std::nullopt;
 }
 
-TrafficGenerator::TrafficGenerator(const MeshGeometry& geom,
-                                   const TrafficConfig& cfg, NodeId node)
+OpenLoopSource::OpenLoopSource(const MeshGeometry& geom,
+                               const TrafficConfig& cfg, NodeId node)
     : geom_(geom),
       cfg_(cfg),
       node_(node),
@@ -53,7 +53,7 @@ TrafficGenerator::TrafficGenerator(const MeshGeometry& geom,
   NOC_EXPECTS(cfg.offered_flits_per_node_cycle >= 0.0);
 }
 
-double TrafficGenerator::avg_flits_per_packet() const {
+double OpenLoopSource::avg_flits_per_packet() const {
   switch (cfg_.pattern) {
     case TrafficPattern::MixedPaper:
       return cfg_.frac_broadcast_request * kRequestPacketLen +
@@ -64,7 +64,7 @@ double TrafficGenerator::avg_flits_per_packet() const {
   }
 }
 
-NodeId TrafficGenerator::pick_unicast_dest() {
+NodeId OpenLoopSource::pick_unicast_dest() {
   if (cfg_.identical_prbs) {
     // Keep every NIC's generator in lockstep: one draw per packet, shared
     // sequence. The chip's NICs map the PRBS destination field relative to
@@ -87,9 +87,9 @@ NodeId TrafficGenerator::pick_unicast_dest() {
   return d;
 }
 
-uint64_t TrafficGenerator::next_payload() { return payload_prbs_.next_bits(64); }
+uint64_t OpenLoopSource::next_payload() { return payload_prbs_.next_bits(64); }
 
-Cycle TrafficGenerator::next_fire_cycle(Cycle from) const {
+Cycle OpenLoopSource::next_fire_cycle(Cycle from) const {
   const double p_packet = std::min(1.0, rate_ / avg_flits_per_packet());
   if (p_packet <= 0.0) return kCycleNever;
   if (!cfg_.identical_prbs) return from;  // Bernoulli draws every cycle
@@ -107,7 +107,7 @@ Cycle TrafficGenerator::next_fire_cycle(Cycle from) const {
   return std::max(from, t);
 }
 
-std::optional<Packet> TrafficGenerator::generate(Cycle now) {
+std::optional<Packet> OpenLoopSource::generate(Cycle now) {
   NOC_EXPECTS(now > last_gen_cycle_);
   const Cycle skipped = now - last_gen_cycle_ - 1;
   last_gen_cycle_ = now;

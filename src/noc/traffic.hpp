@@ -7,7 +7,7 @@
 // docs/WORKLOADS.md for the full contract). Three families implement it:
 //
 //  - OpenLoopSource (this header): Bernoulli injection of the classic
-//    synthetic patterns below, wrapping TrafficGenerator unchanged.
+//    synthetic patterns below.
 //  - ClosedLoopSource (noc/workload.hpp): coherence-shaped miss/probe/
 //    response traffic with a bounded MSHR-style outstanding window.
 //  - TraceSource (noc/workload.hpp): replay of recorded (cycle, src,
@@ -188,42 +188,46 @@ class TrafficSource {
   WakeHook wake_;
 };
 
-/// Per-NIC generator. Deterministic given (config, node).
-class TrafficGenerator {
+/// Open-loop synthetic traffic: one per NIC, deterministic given
+/// (config, node).
+class OpenLoopSource final : public TrafficSource {
  public:
-  TrafficGenerator(const MeshGeometry& geom, const TrafficConfig& cfg,
-                   NodeId node);
+  OpenLoopSource(const MeshGeometry& geom, const TrafficConfig& cfg,
+                 NodeId node);
 
   /// Possibly generate one logical packet this cycle (Bernoulli process).
   /// Packet ids are made globally unique from (node, local counter).
   /// `now` must be strictly increasing across calls; skipped cycles are
   /// allowed only below next_fire_cycle() (their bookkeeping is replayed
   /// bit-exactly, see the identical-PRBS accumulator).
-  std::optional<Packet> generate(Cycle now);
+  std::optional<Packet> generate(Cycle now) override;
 
   /// Gating hint (TrafficSource::next_fire_cycle semantics). Bernoulli
-  /// generators draw RNG every cycle, so with a positive rate they may fire
-  /// immediately; the identical-PRBS accumulator is deterministic and the
-  /// exact fire cycle is predicted by replaying its per-cycle additions.
-  Cycle next_fire_cycle(Cycle from) const;
+  /// draws consume RNG every cycle, so with a positive rate the source may
+  /// fire immediately; the identical-PRBS accumulator is deterministic and
+  /// the exact fire cycle is predicted by replaying its per-cycle additions.
+  Cycle next_fire_cycle(Cycle from) const override;
 
   /// Average flits per logical packet for this pattern (converts offered
   /// flit rate to packet rate).
   double avg_flits_per_packet() const;
 
   /// 64-bit PRBS payload word for the next flit.
-  uint64_t next_payload();
+  uint64_t next_payload() override;
 
   const TrafficConfig& config() const { return cfg_; }
 
   /// Current injection rate (flits/node/cycle). Starts at the config's
   /// offered load; set_rate changes it without touching config(), so the
-  /// config always reports what the experiment asked for. The first change
-  /// since the last generate() stashes the outgoing rate: cycles a gated
-  /// NIC slept through were governed by it and replay at that rate, so the
-  /// new rate takes effect at exactly the cycle it would ungated.
+  /// config always reports what the experiment asked for.
   double rate() const { return rate_; }
-  void set_rate(double flits_per_node_cycle) {
+
+ protected:
+  /// The first change since the last generate() stashes the outgoing
+  /// rate: cycles a gated NIC slept through were governed by it and
+  /// replay at that rate, so the new rate takes effect at exactly the
+  /// cycle it would ungated.
+  void do_set_rate(double flits_per_node_cycle) override {
     if (replay_rate_ < 0.0) replay_rate_ = rate_;
     rate_ = flits_per_node_cycle;
   }
@@ -249,33 +253,6 @@ class TrafficGenerator {
   /// Rate in force before the first set_rate since the last generate()
   /// (the rate the slept-through cycles must replay at); < 0 = unchanged.
   double replay_rate_ = -1.0;
-};
-
-/// Open-loop synthetic traffic behind the TrafficSource interface: a thin
-/// adapter over TrafficGenerator, bit-identical to driving the generator
-/// directly.
-class OpenLoopSource final : public TrafficSource {
- public:
-  OpenLoopSource(const MeshGeometry& geom, const TrafficConfig& cfg,
-                 NodeId node)
-      : gen_(geom, cfg, node) {}
-
-  std::optional<Packet> generate(Cycle now) override {
-    return gen_.generate(now);
-  }
-  uint64_t next_payload() override { return gen_.next_payload(); }
-  Cycle next_fire_cycle(Cycle from) const override {
-    return gen_.next_fire_cycle(from);
-  }
-
-  TrafficGenerator& generator() { return gen_; }
-  const TrafficGenerator& generator() const { return gen_; }
-
- protected:
-  void do_set_rate(double rate) override { gen_.set_rate(rate); }
-
- private:
-  TrafficGenerator gen_;
 };
 
 }  // namespace noc

@@ -1,5 +1,6 @@
 #pragma once
-// Persistent worker team for intra-network parallel stepping.
+// Persistent worker team for intra-network parallel stepping (and the
+// short-lived team parallel_for drains its indices on).
 //
 // A Network that steps with `step_threads > 1` drives every cycle through
 // the same fixed set of threads; spawning per step (or per phase) would

@@ -2,7 +2,8 @@
 // is still on a wire -- including credits and lookaheads, which the old
 // implementation ignored (it scanned flit channels only). A drain phase that
 // ends with a credit in flight hands the next measurement window a network
-// whose flow-control state is still settling.
+// whose flow-control state is still settling. A packet submitted between
+// steps must count at once, whatever the number of step spans.
 #include <gtest/gtest.h>
 
 #include "noc/network.hpp"
@@ -72,6 +73,28 @@ TEST_P(QuiescenceTest, DrainOutlastsTheLastDelivery) {
 
 INSTANTIATE_TEST_SUITE_P(GatedAndFull, QuiescenceTest,
                          ::testing::Values(true, false));
+
+// A packet submitted between steps is accounted at once in every stepping
+// mode: metrics() and quiescent() must not wait for the next step to see
+// it. The only destination, corner node 15, is cut off, so the packet is
+// counted generated and dropped at the door and nothing is left in flight.
+class BetweenStepsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BetweenStepsTest, SubmissionIsVisibleBeforeTheNextStep) {
+  NetworkConfig cfg = silent_config(true);
+  cfg.step_threads = GetParam();
+  cfg.fault.kill_link(0, 15, 14).kill_link(0, 15, 11);
+  Network net(cfg);
+  Simulation sim(net);
+  sim.run(1);  // let the cycle-0 kills apply before submitting
+  net.nic(0).submit_packet(single_flit_packet(0, 15, sim.now()));
+  EXPECT_EQ(net.metrics().total_generated(), 1);
+  EXPECT_EQ(net.metrics().total_dropped(), 1);
+  EXPECT_TRUE(net.quiescent());
+}
+
+INSTANTIATE_TEST_SUITE_P(StepThreads, BetweenStepsTest,
+                         ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace noc
