@@ -82,7 +82,7 @@ std::string validate_manifest(const Manifest& m) {
       if (m.points[j].id == p.id) return point_error(p, "duplicate id");
     const int ky = p.ky > 0 ? p.ky : p.k;
     if (p.k < 2 || p.k > kMaxMeshRadix || ky < 2 || ky > kMaxMeshRadix ||
-        p.k * ky > DestMask::kCapacity)
+        p.k * ky > DestMask::kBits)
       return point_error(p, "mesh geometry out of range (2..kMaxMeshRadix, "
                             "k*ky <= DestMask capacity)");
     if (p.request_vcs < 0 || p.response_vcs < 0)

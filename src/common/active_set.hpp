@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/dest_mask.hpp"
+#include "common/bit_mask.hpp"
 
 namespace noc {
 

@@ -1,24 +1,33 @@
 #pragma once
-// BitMask<N>: fixed-width multi-word bitset -- the DestMask idiom
-// (common/dest_mask.hpp) generalized to any bit count, so the router
-// datapath can model its per-port / per-VC candidate sets as wide masks
-// instead of per-element loops (docs/PERF.md Layer 5).
+// BitMask<N>: fixed-width multi-word bitset. DestMask (below) is the
+// 256-bit instance holding one bit per mesh node, which caps the mesh at
+// k <= 16 (docs/SCALING.md); the router datapath models its per-port /
+// per-VC candidate sets as narrower instances instead of per-element loops
+// (docs/PERF.md Layer 5).
 //
-// Same design constraints as DestMask, in the same priority order:
-//  - Zero heap: plain array storage, trivially copyable; hot-path state
-//    built on BitMask keeps the steady-state no-allocation invariant.
+// Design constraints (in priority order):
+//  - Zero heap: plain array storage, trivially copyable, so Flit/Packet/
+//    Branch copies stay memcpy and hot-path state built on BitMask keeps
+//    the steady-state no-allocation invariant.
 //  - Word-0 fast path: masks narrower than 64 bits compile to single-word
 //    ops (kWords == 1 collapses every loop below), and wider masks
-//    short-circuit on word 0 first.
-//  - No silent truncation: the uint64_t constructor is explicit and
-//    operators keep bits above kBits cleared, so count()/any()/== never see
-//    phantom tail bits (operator~ masks the last word).
+//    short-circuit on word 0 first -- destination masks on k <= 8 meshes
+//    only ever populate word 0.
+//  - No silent truncation: the uint64_t constructor is explicit, so the
+//    single-word idioms that would quietly produce a word-0-only mask
+//    (`dest_mask = 1u << n`, comparisons against integer literals) are
+//    build errors; single bits come from bit(), all-ones masks from
+//    first_n, and a literal is spelled DestMask{0x1f}. Operators keep bits
+//    above kBits cleared, so count()/any()/== never see phantom tail bits
+//    (operator~ masks the last word).
 //
-// The noc layer instantiates three aliases (noc/routing.hpp,
+// The noc layer instantiates three more aliases (noc/routing.hpp,
 // noc/buffers.hpp): PortMask over the 5 router ports, VcMask over the VC
 // ids of one port, and VcSetMask over ports x VCs. Word-boundary behavior
 // is pinned by tests/test_bit_mask.cpp, including the randomized
-// incremental-vs-recompute cross-checks.
+// incremental-vs-recompute cross-checks; tests/test_routing.cpp and
+// tests/test_multiflit_multicast.cpp pin destination sets that straddle
+// DestMask's 64/128/192-bit seams.
 
 #include <bit>
 #include <cstdint>
@@ -34,13 +43,15 @@ class BitMask {
  public:
   static constexpr int kBits = NBits;
   static constexpr int kWords = (NBits + 63) / 64;
+  /// Hex digits of the widest mask (to_hex buffer sizing).
+  static constexpr int kMaxHexChars = (NBits + 3) / 4;
 
   constexpr BitMask() = default;
-  /// Explicit for the same reason DestMask's is: a bare integer is only
-  /// ever a word-0 mask, and silent conversion would reintroduce the
-  /// truncation bugs the multi-word types exist to prevent.
+  /// Explicit on purpose: a bare integer is only ever a word-0 mask, and
+  /// silent conversion would reintroduce the truncation bugs this type
+  /// exists to make unrepresentable.
   constexpr explicit BitMask(uint64_t low) : w_{} {
-    NOC_EXPECTS(kBits >= 64 || (low >> kBits) == 0);
+    if constexpr (kBits < 64) NOC_EXPECTS((low >> kBits) == 0);
     w_[0] = low;
   }
 
@@ -181,6 +192,50 @@ class BitMask {
 
   friend constexpr bool operator==(const BitMask&, const BitMask&) = default;
 
+  /// Lowercase hex, most-significant digit first, no leading zeros ("0" for
+  /// the empty mask) -- single-word masks render like a plain %" PRIx64 "
+  /// so v1 trace files round-trip unchanged. `buf` must hold at least
+  /// kMaxHexChars + 1 bytes; returns the string length.
+  int to_hex(char* buf) const {
+    int digits = (kWords * 64 - leading_zero_bits_nibble_aligned()) / 4;
+    if (digits == 0) digits = 1;
+    for (int i = 0; i < digits; ++i) {
+      const int shift = (digits - 1 - i) * 4;
+      const uint64_t nib = (w_[shift / 64] >> (shift % 64)) & 0xF;
+      buf[i] = nib < 10 ? static_cast<char>('0' + nib)
+                        : static_cast<char>('a' + nib - 10);
+    }
+    buf[digits] = '\0';
+    return digits;
+  }
+
+  /// Parse a hex string as written by to_hex (case-insensitive). Returns
+  /// false on an empty string, a non-hex character, or a value wider than
+  /// kBits.
+  static bool from_hex(const char* s, BitMask& out) {
+    int len = 0;
+    while (s[len] != '\0') ++len;
+    if (len == 0 || len > kMaxHexChars) return false;
+    BitMask m;
+    for (int i = 0; i < len; ++i) {
+      const char c = s[i];
+      uint64_t nib;
+      if (c >= '0' && c <= '9')
+        nib = static_cast<uint64_t>(c - '0');
+      else if (c >= 'a' && c <= 'f')
+        nib = static_cast<uint64_t>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F')
+        nib = static_cast<uint64_t>(c - 'A' + 10);
+      else
+        return false;
+      const int shift = (len - 1 - i) * 4;
+      m.w_[shift / 64] |= nib << (shift % 64);
+    }
+    if ((m.w_[kWords - 1] & ~live_bits(kWords - 1)) != 0) return false;
+    out = m;
+    return true;
+  }
+
  private:
   static constexpr int word_of(int n) { return n >> 6; }
   static constexpr uint64_t bit_of(int n) { return uint64_t{1} << (n & 63); }
@@ -190,7 +245,21 @@ class BitMask {
     return used >= 64 ? ~uint64_t{0} : (uint64_t{1} << used) - 1;
   }
 
+  /// Leading-zero bit count of the storage words, rounded DOWN to a nibble
+  /// (to_hex helper).
+  int leading_zero_bits_nibble_aligned() const {
+    for (int w = kWords - 1; w >= 0; --w)
+      if (w_[w] != 0)
+        return ((kWords - 1 - w) * 64 + std::countl_zero(w_[w])) & ~3;
+    return kWords * 64;
+  }
+
   uint64_t w_[kWords] = {};
 };
+
+/// Destination set, one bit per mesh node: 4 x 64-bit words cover k <= 16
+/// (256 nodes). Word-boundary pitfalls this type makes unrepresentable are
+/// catalogued in docs/SCALING.md.
+using DestMask = BitMask<256>;
 
 }  // namespace noc

@@ -284,7 +284,7 @@ int cli_mesh_radix(const CliArgs& args, int dflt) {
                  "invalid --k %lld: mesh radix must be in 2..%d "
                  "(DestMask capacity is %d nodes)\n",
                  static_cast<long long>(k), kMaxMeshRadix,
-                 DestMask::kCapacity);
+                 DestMask::kBits);
     std::exit(1);
   }
   return static_cast<int>(k);

@@ -6,14 +6,14 @@
 namespace noc {
 
 // The k <= kMaxMeshRadix contract needs no separate check: for a square
-// mesh it is exactly the delegated capacity bound (16^2 = kCapacity).
+// mesh it is exactly the delegated capacity bound (16^2 = DestMask::kBits).
 MeshGeometry::MeshGeometry(int k) : MeshGeometry(k, k) {}
 
 MeshGeometry::MeshGeometry(int kx, int ky) : kx_(kx), ky_(ky) {
   NOC_EXPECTS(kx >= 2 && ky >= 2);
   // The mask datapath addresses one bit per node: any shape fits as long
   // as the node count does (a 4x64 strip is as legal as 16x16).
-  NOC_EXPECTS(kx * ky <= DestMask::kCapacity);
+  NOC_EXPECTS(kx * ky <= DestMask::kBits);
 }
 
 NodeId MeshGeometry::id(Coord c) const {

@@ -38,13 +38,27 @@ NetworkConfig NetworkConfig::baseline_4stage(int k) {
   return c;
 }
 
-template <typename T>
-Channel<T>* Network::make_channel(std::vector<Channel<T>>& pool, int latency) {
+Link* Network::make_link(NodeId from, NodeId to, int la_latency) {
   // The constructor reserved the exact pool size up front; growing past it
   // would reallocate and dangle every pointer already wired in.
-  NOC_ASSERT(pool.size() < pool.capacity());
-  pool.emplace_back(latency);
-  return &pool.back();
+  NOC_ASSERT(links_.size() < links_.capacity());
+  const int id = static_cast<int>(links_.size());
+  Link& link = links_.emplace_back(la_latency);
+  // A link is owned by its RECEIVER's span: it registers on that span's
+  // active list and items counter (the counter in both gating modes:
+  // quiescent() relies on it). A link whose sender lives in a different
+  // span is the boundary case -- it is deferred (sends staged, committed
+  // by the owner after the compute barrier).
+  StepSpan& sp = span_of(to);
+  const bool cross = part_.crosses(from, to);
+  link.for_each_channel([&](auto& ch) {
+    ch.set_activity(cfg_.activity_gating ? &sp.active : nullptr, id,
+                    &sp.items);
+    if (cross) ch.set_deferred(true);
+  });
+  sp.links.push_back(&link);
+  if (cross) sp.cross.push_back(&link);
+  return &link;
 }
 
 Network::Network(const NetworkConfig& cfg)
@@ -61,7 +75,7 @@ Network::Network(const NetworkConfig& cfg)
   // span COUNT is fixed by the config (clamped to one span per column), so
   // results depend only on step_threads, never on how many workers the
   // budget actually grants.
-  NOC_EXPECTS(n <= DestMask::kCapacity);  // one awake bit per node
+  NOC_EXPECTS(n <= DestMask::kBits);  // one awake bit per node
   part_ = SpanPartition(geom_,
                         SpanPartition::clamp_spans(geom_, cfg.step_threads));
   spans_.resize(static_cast<size_t>(part_.num_spans()));
@@ -126,66 +140,33 @@ Network::Network(const NetworkConfig& cfg)
       routers_.back()->attach_telemetry(telemetry_.get());
   }
 
-  const bool bypass = cfg.router.has_bypass();
   const bool gated = cfg.activity_gating;
 
-  // Exact pool sizes (pointer stability: see make_channel). Per undirected
-  // mesh edge: one flit/credit/lookahead channel per direction; per node:
-  // NIC flit + credit channels both ways, lookahead toward the router only.
+  // Exact pool size (pointer stability: see make_link): one link per
+  // direction of each undirected mesh edge, and two per NIC.
   const int n_edges =
       (geom_.kx() - 1) * geom_.ky() + geom_.kx() * (geom_.ky() - 1);
-  flit_channels_.reserve(static_cast<size_t>(2 * n_edges + 2 * n));
-  credit_channels_.reserve(static_cast<size_t>(2 * n_edges + 2 * n));
-  if (bypass) la_channels_.reserve(static_cast<size_t>(2 * n_edges + n));
+  links_.reserve(static_cast<size_t>(2 * n_edges + 2 * n));
+  for (auto& sp : spans_) sp.active.init(static_cast<int>(links_.capacity()));
 
-  // Router-to-router wiring. Each undirected edge gets one channel of each
-  // kind per direction. We visit each edge once (East and North neighbors).
-  // With gating, each channel learns which component its arrivals must wake;
+  // With gating, each wire learns which component its arrivals must wake;
   // wake bits live in the receiver's owning span so every mask write during
   // a parallel step stays worker-local.
-  auto router_wake = [&](NodeId r) {
-    return gated ? WakeHook{&span_of(r).router_awake, r} : WakeHook{};
+  auto wake_router = [&](Link* link, NodeId r) {
+    if (!gated) return;
+    const WakeHook wake{&span_of(r).router_awake, r};
+    link->for_each_channel([&](auto& ch) { ch.set_wake_target(wake); });
   };
+
+  // Router-to-router wiring: one link per direction of each undirected
+  // edge, visited once (East and North neighbors).
   auto wire_edge = [&](NodeId a, PortDir a_out, NodeId b) {
-    const PortDir b_out = opposite(a_out);
-    auto* f_ab = make_channel(flit_channels_, 1);
-    auto* f_ba = make_channel(flit_channels_, 1);
-    auto* c_ab = make_channel(credit_channels_, 1);  // a's inport -> b's outport
-    auto* c_ba = make_channel(credit_channels_, 1);  // b's inport -> a's outport
-    Channel<Lookahead>* l_ab = bypass ? make_channel(la_channels_, 1) : nullptr;
-    Channel<Lookahead>* l_ba = bypass ? make_channel(la_channels_, 1) : nullptr;
-    flit_ep_.push_back({a, b});
-    flit_ep_.push_back({b, a});
-    credit_ep_.push_back({a, b});
-    credit_ep_.push_back({b, a});
-    if (bypass) {
-      la_ep_.push_back({a, b});
-      la_ep_.push_back({b, a});
-    }
-    f_ab->set_wake_target(router_wake(b));
-    f_ba->set_wake_target(router_wake(a));
-    c_ab->set_wake_target(router_wake(b));
-    c_ba->set_wake_target(router_wake(a));
-    if (l_ab != nullptr) l_ab->set_wake_target(router_wake(b));
-    if (l_ba != nullptr) l_ba->set_wake_target(router_wake(a));
-
-    Router::PortChannels pa;  // router a, port a_out
-    pa.flit_out = f_ab;
-    pa.flit_in = f_ba;
-    pa.credit_in = c_ba;   // credits from b for flits a sent
-    pa.credit_out = c_ab;  // credits a sends for flits received from b
-    pa.la_out = l_ab;
-    pa.la_in = l_ba;
-    routers_[static_cast<size_t>(a)]->connect(a_out, pa);
-
-    Router::PortChannels pb;  // router b, port b_out
-    pb.flit_out = f_ba;
-    pb.flit_in = f_ab;
-    pb.credit_in = c_ab;
-    pb.credit_out = c_ba;
-    pb.la_out = l_ba;
-    pb.la_in = l_ab;
-    routers_[static_cast<size_t>(b)]->connect(b_out, pb);
+    Link* ab = make_link(a, b, 1);
+    Link* ba = make_link(b, a, 1);
+    wake_router(ab, b);
+    wake_router(ba, a);
+    routers_[static_cast<size_t>(a)]->connect(a_out, ba, ab);
+    routers_[static_cast<size_t>(b)]->connect(opposite(a_out), ab, ba);
   };
 
   for (int y = 0; y < geom_.ky(); ++y) {
@@ -196,46 +177,23 @@ Network::Network(const NetworkConfig& cfg)
     }
   }
 
-  // NIC wiring through each router's Local port. All five channels stay
-  // inside the node and therefore inside its span.
+  // NIC wiring through each router's Local port; both links stay inside
+  // the node and therefore inside its span. The NIC->router lookahead is
+  // latency 0: its wake fires at send time, during the NIC injection
+  // phase, so the router sees it the same cycle. Nothing bypasses toward
+  // the NIC, so the router->NIC lookahead wire stays unused.
   for (NodeId node = 0; node < n; ++node) {
-    auto* f_nr = make_channel(flit_channels_, 1);   // NIC -> router
-    auto* f_rn = make_channel(flit_channels_, 1);   // router -> NIC
-    auto* c_rn = make_channel(credit_channels_, 1); // router local-in -> NIC
-    auto* c_nr = make_channel(credit_channels_, 1); // NIC rx -> router local-out
-    Channel<Lookahead>* l_nr = bypass ? make_channel(la_channels_, 0) : nullptr;
-    flit_ep_.push_back({node, node});
-    flit_ep_.push_back({node, node});
-    credit_ep_.push_back({node, node});
-    credit_ep_.push_back({node, node});
-    if (bypass) la_ep_.push_back({node, node});
+    Link* to_router = make_link(node, node, 0);
+    Link* from_router = make_link(node, node, 1);
+    wake_router(to_router, node);
     if (gated) {
-      f_nr->set_wake_target(router_wake(node));
-      f_rn->set_wake_target({&span_of(node).eject_awake, node});
-      c_rn->set_wake_target({&span_of(node).inject_awake, node});
-      c_nr->set_wake_target(router_wake(node));
-      // Latency 0: the wake fires at send time, during the NIC injection
-      // phase, so the router sees the lookahead the same cycle.
-      if (l_nr != nullptr)
-        l_nr->set_wake_target(router_wake(node));
+      from_router->flit.set_wake_target({&span_of(node).eject_awake, node});
+      from_router->credit.set_wake_target(
+          {&span_of(node).inject_awake, node});
     }
-
-    Router::PortChannels pl;
-    pl.flit_in = f_nr;
-    pl.flit_out = f_rn;
-    pl.credit_in = c_nr;
-    pl.credit_out = c_rn;
-    pl.la_in = l_nr;
-    pl.la_out = nullptr;  // no lookahead toward the NIC
-    routers_[static_cast<size_t>(node)]->connect(PortDir::Local, pl);
-
-    Nic::Channels nc;
-    nc.flit_to_router = f_nr;
-    nc.la_to_router = l_nr;
-    nc.credit_from_router = c_rn;
-    nc.flit_from_router = f_rn;
-    nc.credit_to_router = c_nr;
-    nics_[static_cast<size_t>(node)]->connect(nc);
+    routers_[static_cast<size_t>(node)]->connect(PortDir::Local, to_router,
+                                                 from_router);
+    nics_[static_cast<size_t>(node)]->connect(to_router, from_router);
   }
 
   setup_activity();
@@ -255,39 +213,6 @@ Network::~Network() {
 }
 
 void Network::setup_activity() {
-  const bool gated = cfg_.activity_gating;
-
-  // Contiguous channel ids per pool so the active-list sweep can recover
-  // the typed pointer from the id alone. Every channel is owned by its
-  // RECEIVER's span: it registers on that span's active list and items
-  // counter (installed in both gating modes: quiescent() relies on it),
-  // and a channel whose sender lives in a different span is the boundary
-  // case -- it becomes deferred (double-buffered sends committed by the
-  // owner after the compute barrier).
-  const int total = num_channels();
-  for (auto& sp : spans_) sp.active.init(total);
-  credit_id_base_ = static_cast<int>(flit_channels_.size());
-  la_id_base_ = credit_id_base_ + static_cast<int>(credit_channels_.size());
-
-  auto install = [&](auto& pool, const auto& eps, int id_base, auto owned,
-                     auto cross) {
-    for (size_t i = 0; i < pool.size(); ++i) {
-      StepSpan& sp = span_of(eps[i].second);
-      pool[i].set_activity(gated ? &sp.active : nullptr,
-                           id_base + static_cast<int>(i), &sp.items);
-      (sp.*owned).push_back(&pool[i]);
-      if (part_.crosses(eps[i].first, eps[i].second)) {
-        pool[i].set_deferred(true);
-        (sp.*cross).push_back(&pool[i]);
-      }
-    }
-  };
-  install(flit_channels_, flit_ep_, 0, &StepSpan::flit, &StepSpan::cross_flit);
-  install(credit_channels_, credit_ep_, credit_id_base_, &StepSpan::credit,
-          &StepSpan::cross_credit);
-  install(la_channels_, la_ep_, la_id_base_, &StepSpan::la,
-          &StepSpan::cross_la);
-
   const int n = geom_.num_nodes();
   inject_wake_at_.assign(static_cast<size_t>(n), kCycleNever);
   // Everything starts awake; idle components fall asleep after their first
@@ -295,7 +220,7 @@ void Network::setup_activity() {
   for (auto& sp : spans_)
     sp.router_awake = sp.inject_awake = sp.eject_awake = sp.owned;
 
-  if (gated) {
+  if (cfg_.activity_gating) {
     for (NodeId node = 0; node < n; ++node) {
       const WakeHook inject{&span_of(node).inject_awake, node};
       nics_[static_cast<size_t>(node)]->set_inject_wake_hook(inject);
@@ -309,11 +234,11 @@ void Network::setup_activity() {
 //
 // Per cycle, with a barrier after each of A and B:
 //
-//   A. compute  -- each span runs its timed wakes, channel deliveries,
+//   A. compute  -- each span runs its timed wakes, link deliveries,
 //      NIC-inject / router / NIC-eject passes. Every write lands in
-//      span-owned state; sends on cross-span channels only stage.
+//      span-owned state; sends on cross-span links only stage.
 //   B. commit   -- each owner replays the messages other spans staged into
-//      its boundary channels, through the normal send path.
+//      its boundary links, through the normal send path.
 //   C. merge    (main thread) -- replay the recorders' captured metrics
 //      and trace events in exact serial order (inject, router, then eject
 //      phase, ascending node within each), append recorded workload
@@ -325,7 +250,7 @@ void Network::setup_activity() {
 // nothing crosses, so B is a no-op, and C replays one buffer in order.
 // Bit-identity across span counts and worker counts holds
 // because phase A is span-isolated, every within-cycle wake is intra-node,
-// every cross-node interaction crosses a latency>=1 channel (visible only
+// every cross-node interaction crosses a latency>=1 wire (visible only
 // after the next cycle's begin_cycle), and phase C reconstructs the serial
 // call order of all order-sensitive accumulation.
 
@@ -389,22 +314,6 @@ void Network::apply_faults(Cycle now) {
   }
 }
 
-bool Network::begin_channel(int id, Cycle now) {
-  if (id < credit_id_base_) {
-    auto& ch = flit_channels_[static_cast<size_t>(id)];
-    ch.begin_cycle(now);
-    return ch.stored() > 0;
-  }
-  if (id < la_id_base_) {
-    auto& ch = credit_channels_[static_cast<size_t>(id - credit_id_base_)];
-    ch.begin_cycle(now);
-    return ch.stored() > 0;
-  }
-  auto& ch = la_channels_[static_cast<size_t>(id - la_id_base_)];
-  ch.begin_cycle(now);
-  return ch.stored() > 0;
-}
-
 void Network::compute_thunk(void* ctx, int worker) {
   auto* c = static_cast<StepCtx*>(ctx);
   Network& net = *c->net;
@@ -427,9 +336,8 @@ void Network::commit_thunk(void* ctx, int worker) {
 
 void Network::span_begin(StepSpan& sp, Cycle now) {
   if (!cfg_.activity_gating) {
-    for (auto* ch : sp.flit) ch->begin_cycle(now);
-    for (auto* ch : sp.credit) ch->begin_cycle(now);
-    for (auto* ch : sp.la) ch->begin_cycle(now);
+    for (Link* link : sp.links)
+      link->for_each_channel([now](auto& ch) { ch.begin_cycle(now); });
     return;
   }
   // 0. Timed wake-ups: sources that promised a future fire cycle.
@@ -445,13 +353,22 @@ void Network::span_begin(StepSpan& sp, Cycle now) {
       }
     });
   }
-  // 1. Channels holding messages deliver; newly visible arrivals wake their
+  // 1. Links holding messages deliver; newly visible arrivals wake their
   //    receivers (this runs before every component phase, so same-cycle
-  //    consumption is guaranteed). Fully drained channels drop off the list
-  //    -- their slots are all empty, so skipping begin_cycle is safe (see
-  //    Channel's activity contract). Per-entry work is order-independent:
-  //    begin_cycle touches only the channel itself and wake bits are ORed.
-  sp.active.sweep([&](int id) { return begin_channel(id, now); });
+  //    consumption is guaranteed). A drained wire inside a listed link is
+  //    skipped, and fully drained links drop off the list -- their slots
+  //    are all empty, so skipping begin_cycle is safe (see Channel's
+  //    activity contract). Per-entry work is order-independent: begin_cycle
+  //    touches only the wire itself and wake bits are ORed.
+  sp.active.sweep([&](int id) {
+    bool holding = false;
+    links_[static_cast<size_t>(id)].for_each_channel([&](auto& ch) {
+      if (ch.idle()) return;
+      ch.begin_cycle(now);
+      holding |= !ch.idle();
+    });
+    return holding;
+  });
 }
 
 // 2. NIC injection halves. A NIC stays awake while it holds queued work or
@@ -504,9 +421,8 @@ void Network::span_compute(StepSpan& sp, Cycle now) {
 }
 
 void Network::span_commit(StepSpan& sp, Cycle now) {
-  for (auto* ch : sp.cross_flit) ch->commit_staged(now);
-  for (auto* ch : sp.cross_credit) ch->commit_staged(now);
-  for (auto* ch : sp.cross_la) ch->commit_staged(now);
+  for (Link* link : sp.cross)
+    link->for_each_channel([now](auto& ch) { ch.commit_staged(now); });
 }
 
 namespace {
@@ -582,16 +498,10 @@ void Network::end_measurement_window(Cycle now) {
   for (auto& src : sources_) src->end_window(now);
 }
 
-std::vector<int> Network::span_channel_ids(int s) const {
-  const StepSpan& sp = spans_[static_cast<size_t>(s)];
+std::vector<int> Network::span_link_ids(int s) const {
   std::vector<int> ids;
-  auto add = [&](const auto& owned, const auto& pool, int id_base) {
-    for (const auto* ch : owned)
-      ids.push_back(id_base + static_cast<int>(ch - pool.data()));
-  };
-  add(sp.flit, flit_channels_, 0);
-  add(sp.credit, credit_channels_, credit_id_base_);
-  add(sp.la, la_channels_, la_id_base_);
+  for (const Link* link : spans_[static_cast<size_t>(s)].links)
+    ids.push_back(static_cast<int>(link - links_.data()));
   return ids;
 }
 
@@ -603,8 +513,8 @@ int64_t Network::channel_items() const {
 
 bool Network::quiescent() const {
   if (metrics_.open_packets() != 0) return false;
-  // The aggregate counter covers flit, credit AND lookahead channels: the
-  // old flit-only scan let a drain phase end with a credit still on a wire,
+  // The aggregate counter covers every wire of every link: a flit-only
+  // scan would let a drain phase end with a credit still on a wire,
   // corrupting back-to-back measurement windows. The count is kept per
   // span.
   if (channel_items() != 0) return false;

@@ -2,17 +2,21 @@
 // Network: assembles the k x k mesh of routers and NICs (paper Fig 2) and
 // drives them in the per-cycle phase order required by the timing model:
 //
-//   1. all channels deliver this cycle's arrivals
+//   1. all links deliver this cycle's arrivals
 //   2. NIC injection halves tick (they raise latency-0 lookaheads that the
 //      routers' mSA-II must see this same cycle)
 //   3. routers tick (credits -> ST/BW -> mSA-II -> mSA-I/VA)
 //   4. NIC ejection halves tick (drain flits the routers sent last cycle)
 
+// Each directed hop (router->router, NIC->router, router->NIC) is one Link
+// (noc/router.hpp): its flit, credit and lookahead wires travel together,
+// so a link is the unit of ownership, activity tracking and deferral.
+//
 // Every step runs one schedule over column spans (src/noc/partition.hpp):
-// each span delivers its owned channels, then ticks its NIC injection
+// each span delivers its owned links, then ticks its NIC injection
 // halves, routers and NIC ejection halves. A worker team runs a fixed
 // two-phase barrier schedule: compute span-local state, barrier, commit
-// cross-span channel sends, barrier, then the main thread replays what
+// cross-span link sends, barrier, then the main thread replays what
 // the spans' MetricsRecorders buffered -- metrics and trace events, and
 // recorded workload packets -- in deterministic (phase, node) order.
 // Between steps the recorders apply at once, so a packet submitted there
@@ -25,7 +29,7 @@
 //
 // Activity gating (NetworkConfig::activity_gating, the default) makes each
 // pass walk only the components that can possibly do work this cycle:
-// channels holding in-flight messages, routers with buffered or latched
+// links holding in-flight messages, routers with buffered or latched
 // state, NICs with queued packets / undrained flits, and NICs whose
 // TrafficSource may fire. Wake-up edges (message arrival, the latency-0
 // injection lookahead, source fire predictions, external submissions)
@@ -34,7 +38,6 @@
 // bit-identical either way (tests/test_gating_equivalence.cpp).
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/active_set.hpp"
@@ -78,7 +81,7 @@ struct NetworkConfig {
   TelemetryConfig telemetry;
 
   /// Activity-gated stepping (docs/PERF.md): idle routers, NICs and drained
-  /// channels are skipped each cycle. Metrics are bit-identical either way
+  /// links are skipped each cycle. Metrics are bit-identical either way
   /// (enforced by tests/test_gating_equivalence.cpp); turning it off walks
   /// every component, the oracle the gated walk is checked against.
   bool activity_gating = true;
@@ -102,7 +105,7 @@ class Network : public Steppable {
   explicit Network(const NetworkConfig& cfg);
   ~Network();
 
-  // Channels and the activity machinery hold pointers back into this
+  // Links and the activity machinery hold pointers back into this
   // object (wake masks, counters): pin it.
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -140,14 +143,14 @@ class Network : public Steppable {
   void end_measurement_window(Cycle now);
 
   /// True when no packet is anywhere in flight and no source holds pending
-  /// work (outstanding closed-loop misses, unreplayed trace records). All
-  /// channel kinds count: a credit or lookahead still on a wire blocks
+  /// work (outstanding closed-loop misses, unreplayed trace records). Every
+  /// wire of a link counts: a credit or lookahead still on a wire blocks
   /// quiescence (drain phases must not end while flow-control state is in
-  /// flight), tracked by an O(1) counter rather than a channel scan.
+  /// flight), tracked by an O(1) counter rather than a link scan.
   bool quiescent() const;
 
-  /// Messages of any kind (flits, credits, lookaheads) currently inside
-  /// channels, including arrivals not yet recycled.
+  /// Messages of any kind (flits, credits, lookaheads) currently on the
+  /// links' wires, including arrivals not yet recycled.
   int64_t channel_items() const;
 
   // ---- parallel-stepping introspection (tests, docs/PERF.md Layer 4) ----
@@ -158,37 +161,31 @@ class Network : public Steppable {
   int step_workers() const { return team_->workers(); }
   /// The column partition (a single span in serial mode).
   const SpanPartition& partition() const { return part_; }
-  int num_channels() const {
-    return static_cast<int>(flit_channels_.size() + credit_channels_.size() +
-                            la_channels_.size());
-  }
-  /// Channel ids owned by span `s` (owner = receiver's span), ascending.
-  std::vector<int> span_channel_ids(int s) const;
+  /// Links in the pool; a link's id is its pool index.
+  int num_links() const { return static_cast<int>(links_.size()); }
+  /// Link ids owned by span `s` (owner = receiver's span), ascending.
+  std::vector<int> span_link_ids(int s) const;
   /// Nodes owned by span `s`, ascending.
   std::vector<NodeId> span_nodes(int s) const { return part_.nodes_of(s); }
-  /// Deferred (cross-span) channels owned by span `s`.
-  int span_cross_channel_count(int s) const {
-    const StepSpan& sp = spans_[static_cast<size_t>(s)];
-    return static_cast<int>(sp.cross_flit.size() + sp.cross_credit.size() +
-                            sp.cross_la.size());
+  /// Deferred (cross-span) links owned by span `s`.
+  int span_cross_link_count(int s) const {
+    return static_cast<int>(spans_[static_cast<size_t>(s)].cross.size());
   }
 
  private:
   /// Everything one worker exclusively owns while stepping its column span.
-  /// Serial stepping is a single span that owns every node and channel.
+  /// Serial stepping is a single span that owns every node and link.
   /// Components count energy into their span's counters and record
   /// metrics, trace events and workload records through its recorder,
   /// which the main thread drains each step in deterministic order. All
   /// scratch is sized at partition time (zero-alloc invariant).
   struct StepSpan {
     DestMask owned;  // the span's nodes: the ungated pass set
-    // Owned channels (receiver in span) per pool, and the deferred subset
-    // whose sender lives in another span.
-    std::vector<Channel<Flit>*> flit, cross_flit;
-    std::vector<Channel<Credit>*> credit, cross_credit;
-    std::vector<Channel<Lookahead>*> la, cross_la;
-    // Activity machinery (docs/PERF.md Layer 3). Owned channels register on
-    // `active` while holding messages; `items` counts their in-flight
+    // Owned links (receiver in span), and the deferred subset whose sender
+    // lives in another span.
+    std::vector<Link*> links, cross;
+    // Activity machinery (docs/PERF.md Layer 3). Owned links register on
+    // `active` while any wire holds messages; `items` counts their in-flight
     // messages in both gating modes (quiescent() needs it). Awake bits are
     // set by wake edges and cleared when a component's post-tick state
     // shows it cannot act next cycle; next_timed_wake caches the earliest
@@ -209,8 +206,9 @@ class Network : public Steppable {
     Cycle now;
   };
 
-  template <typename T>
-  Channel<T>* make_channel(std::vector<Channel<T>>& pool, int latency);
+  /// Append the link `from` -> `to` to the pool and hand it to the
+  /// receiver's span, deferred when the sender lives in another span.
+  Link* make_link(NodeId from, NodeId to, int la_latency);
 
   StepSpan& span_of(NodeId node) {
     return spans_[static_cast<size_t>(part_.span_of_node(node))];
@@ -232,7 +230,6 @@ class Network : public Steppable {
   /// merge so the cumulative counters are whole-network values).
   void sample_telemetry(Cycle now);
 
-  bool begin_channel(int id, Cycle now);
   void span_begin(StepSpan& sp, Cycle now);
   void span_compute(StepSpan& sp, Cycle now);
   void span_commit(StepSpan& sp, Cycle now);
@@ -250,19 +247,12 @@ class Network : public Steppable {
   FaultState fault_state_;
   std::unique_ptr<Telemetry> telemetry_;  // null unless telemetry.enabled
 
-  // Contiguous channel pools (docs/PERF.md Layer 5): the gated per-cycle
-  // sweep touches most channels at saturation, so keeping the Channel
-  // objects themselves in one array (instead of heap-scattered unique_ptrs)
-  // makes that walk cache-friendly. Capacity is reserved exactly in the
+  // The one link pool (docs/PERF.md Layer 5): the gated per-cycle sweep
+  // touches most links at saturation, so keeping the Link objects
+  // themselves in one array (instead of heap-scattered unique_ptrs) makes
+  // that walk cache-friendly. Capacity is reserved exactly in the
   // constructor before wiring -- handed-out pointers stay stable.
-  std::vector<Channel<Flit>> flit_channels_;
-  std::vector<Channel<Credit>> credit_channels_;
-  std::vector<Channel<Lookahead>> la_channels_;
-  // (sender, receiver) node per channel, in pool order: span ownership and
-  // boundary classification are derived from these in setup_activity.
-  std::vector<std::pair<NodeId, NodeId>> flit_ep_;
-  std::vector<std::pair<NodeId, NodeId>> credit_ep_;
-  std::vector<std::pair<NodeId, NodeId>> la_ep_;
+  std::vector<Link> links_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<TrafficSource>> sources_;
   std::vector<std::unique_ptr<Nic>> nics_;
@@ -273,10 +263,6 @@ class Network : public Steppable {
   std::unique_ptr<StepTeam> team_;  // one worker when serial or starved
   int budget_lease_ = 0;            // extra threads leased from thread_budget
   Trace* trace_out_ = nullptr;      // record_trace target
-  // Channel ids are assigned contiguously per pool (flit < credit <
-  // lookahead) so a sweep can dispatch without virtual calls.
-  int credit_id_base_ = 0;
-  int la_id_base_ = 0;
   // Timed injection wake-ups for sources that promise a future fire cycle
   // (identical-PRBS intervals, trace records, closed-loop response due
   // times), one entry per node; each is only touched by its node's span.

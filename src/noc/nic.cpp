@@ -161,14 +161,10 @@ void Nic::send_flit(MsgClass mc, Cycle now) {
   f.vc = tx.vc;
   f.inject_cycle = now;
   ds_.consume_credit(tx.vc);
-  NOC_ASSERT(ch_.flit_to_router != nullptr);
-  ch_.flit_to_router->send(now, f);
+  to_router_->flit.send(now, f);
   ++energy_->nic_link_traversals;
-  if (router_cfg_.has_bypass() && ch_.la_to_router != nullptr) {
-    Lookahead la;
-    la.in_port = port_index(PortDir::Local);
-    la.flit = f;
-    ch_.la_to_router->send(now, la);
+  if (router_cfg_.has_bypass()) {
+    to_router_->la.send(now, f);
     ++energy_->lookaheads_sent;
   }
   if (tx.done()) active_[m].reset();
@@ -176,11 +172,9 @@ void Nic::send_flit(MsgClass mc, Cycle now) {
 
 void Nic::tick_inject(Cycle now) {
   // Apply credits from the router's Local input port.
-  if (ch_.credit_from_router != nullptr) {
-    for (const Credit& c : ch_.credit_from_router->arrivals()) {
-      if (c.slot) ds_.return_credit(c.vc);
-      if (c.vc_free) ds_.release_vc(c.vc);
-    }
+  for (const Credit& c : from_router_->credit.arrivals()) {
+    if (c.slot) ds_.return_credit(c.vc);
+    if (c.vc_free) ds_.release_vc(c.vc);
   }
 
   // Traffic generation.
@@ -201,16 +195,13 @@ void Nic::tick_inject(Cycle now) {
 
 void Nic::tick_eject(Cycle now) {
   // Accept arrivals from the router's Local output.
-  if (ch_.flit_from_router != nullptr) {
-    const auto& arrivals = ch_.flit_from_router->arrivals();
-    NOC_ASSERT(arrivals.size() <= 1);
-    for (const Flit& f : arrivals) {
-      NOC_ASSERT(f.vc >= 0 &&
-                 f.vc < static_cast<int>(rx_vcs_.size()));
-      rx_vcs_[static_cast<size_t>(f.vc)].push_back(f);
-      NOC_ASSERT(static_cast<int>(rx_vcs_[static_cast<size_t>(f.vc)].size()) <=
-                 router_cfg_.vc.depth_of_vc(f.vc));
-    }
+  const auto& arrivals = from_router_->flit.arrivals();
+  NOC_ASSERT(arrivals.size() <= 1);
+  for (const Flit& f : arrivals) {
+    NOC_ASSERT(f.vc >= 0 && f.vc < static_cast<int>(rx_vcs_.size()));
+    rx_vcs_[static_cast<size_t>(f.vc)].push_back(f);
+    NOC_ASSERT(static_cast<int>(rx_vcs_[static_cast<size_t>(f.vc)].size()) <=
+               router_cfg_.vc.depth_of_vc(f.vc));
   }
 
   // Drain one flit per cycle (the ejection-bandwidth limit of Table 1).
@@ -220,13 +211,11 @@ void Nic::tick_eject(Cycle now) {
   if (occupied == 0) return;
   const int v = rx_rr_.arbitrate(occupied);
   Flit f = rx_vcs_[static_cast<size_t>(v)].pop_front();
-  if (ch_.credit_to_router != nullptr) {
-    Credit c;
-    c.vc = v;
-    c.slot = true;
-    c.vc_free = is_tail(f.type);
-    ch_.credit_to_router->send(now, c);
-  }
+  Credit c;
+  c.vc = v;
+  c.slot = true;
+  c.vc_free = is_tail(f.type);
+  to_router_->credit.send(now, c);
   if (is_tail(f.type) && metrics_->tracing(f.logical_id))
     metrics_->on_trace(TraceEventType::Eject, now, f.logical_id, node_);
   metrics_->on_flit_received(f.logical_id, f, now);

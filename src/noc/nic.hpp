@@ -42,20 +42,18 @@ namespace noc {
 
 class Nic {
  public:
-  struct Channels {
-    Channel<Flit>* flit_to_router = nullptr;    // latency 1
-    Channel<Lookahead>* la_to_router = nullptr; // latency 0 (Proposed only)
-    Channel<Credit>* credit_from_router = nullptr;
-    Channel<Flit>* flit_from_router = nullptr;
-    Channel<Credit>* credit_to_router = nullptr;
-  };
-
   /// `source` must outlive the NIC (the Network owns both).
   Nic(NodeId node, const MeshGeometry& geom, const RouterConfig& router_cfg,
       TrafficSource* source, EnergyCounters* energy,
       MetricsRecorder* metrics);
 
-  void connect(const Channels& ch) { ch_ = ch; }
+  /// Wire the NIC to its router's Local port (the Network owns both
+  /// links). `to_router` carries flits, ejection credits and the latency-0
+  /// lookahead; `from_router` carries ejected flits and injection credits.
+  void connect(Link* to_router, Link* from_router) {
+    to_router_ = to_router;
+    from_router_ = from_router;
+  }
 
   /// Injection half-cycle; must run before the routers' tick.
   void tick_inject(Cycle now);
@@ -112,7 +110,8 @@ class Nic {
   TrafficSource* source_;
   const FaultState* faults_ = nullptr;
   WakeHook wake_inject_;
-  Channels ch_;
+  Link* to_router_ = nullptr;
+  Link* from_router_ = nullptr;
 
   DownstreamState ds_;  // router Local input port credits / free VCs
   VecDeque<Packet> queue_[kNumMsgClasses];

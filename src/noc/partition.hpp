@@ -3,16 +3,16 @@
 // stepping (docs/PERF.md Layer 4).
 //
 // A span is a contiguous range of mesh columns; every router, NIC and
-// intra-span channel belongs to exactly one span, and each span is stepped
+// link (owned by its receiver's span) belongs to exactly one span, and each span is stepped
 // by exactly one worker per cycle. Because node ids are row-major
 // (id = y * kx + x), a span's node set is id-strided, not contiguous --
 // ownership is a function of the COLUMN, never the raw id.
 //
 // Why columns are the right cut: every within-cycle wake edge in the
 // simulator is intra-node (the latency-0 NIC->router lookahead), and every
-// cross-node interaction travels a latency-1 channel, becoming visible only
-// at the next cycle's begin_cycle. North/South channels stay inside a
-// column, so the only channels whose endpoints can land in different spans
+// cross-node interaction travels a latency-1 wire, becoming visible only
+// at the next cycle's begin_cycle. North/South links stay inside a
+// column, so the only links whose endpoints can land in different spans
 // are the East/West pairs crossing a span boundary -- those become the
 // deferred (double-buffered) synchronization edges of the two-phase barrier
 // schedule in Network::step. crosses() is the exact classification the
@@ -73,7 +73,7 @@ class SpanPartition {
   /// ascending order is what keeps per-span passes serial-equivalent).
   std::vector<NodeId> nodes_of(int s) const;
 
-  /// True when a channel between adjacent routers `a` and `b` is a
+  /// True when the link from router `a` to adjacent router `b` is a
   /// cross-span synchronization edge. Only East/West neighbours can cross.
   bool crosses(NodeId a, NodeId b) const {
     return span_of_node(a) != span_of_node(b);

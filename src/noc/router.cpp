@@ -27,10 +27,9 @@ Router::Router(NodeId node, const MeshGeometry& geom, const RouterConfig& cfg,
   }
 }
 
-void Router::connect(PortDir port, const PortChannels& ch) {
-  auto& ip = in_[static_cast<size_t>(port_index(port))];
-  ip.ch = ch;
-  ip.connected = true;
+void Router::connect(PortDir port, Link* in, Link* out) {
+  in_[static_cast<size_t>(port_index(port))].link = in;
+  out_[static_cast<size_t>(port_index(port))].link = out;
 }
 
 bool Router::idle() const {
@@ -64,9 +63,9 @@ void Router::tick(Cycle now) {
 
 void Router::apply_credits(Cycle) {
   for (int p = 0; p < kNumPorts; ++p) {
-    auto& ip = in_[static_cast<size_t>(p)];
-    if (!ip.connected || ip.ch.credit_in == nullptr) continue;
-    for (const Credit& c : ip.ch.credit_in->arrivals()) {
+    const Link* in = in_[static_cast<size_t>(p)].link;
+    if (in == nullptr) continue;
+    for (const Credit& c : in->credit.arrivals()) {
       auto& ds = out_[static_cast<size_t>(p)].ds;
       if (c.slot) ds.return_credit(c.vc);
       if (c.vc_free) ds.release_vc(c.vc);
@@ -227,12 +226,11 @@ void Router::forward_copy(Cycle now, const Flit& f, const GrantOut& go) {
   copy.vc = go.ds_vc;
   copy.rc = downstream_rc(f, go);
   ++energy_->xbar_traversals;
-  auto* out_ch = in_[static_cast<size_t>(port_index(go.out))].ch.flit_out;
-  NOC_ASSERT(out_ch != nullptr);
+  auto& op = out_[static_cast<size_t>(port_index(go.out))];
+  NOC_ASSERT(op.link != nullptr);
   if (cfg_.pipeline == PipelineMode::FourStage) {
-    auto& lt = out_[static_cast<size_t>(port_index(go.out))].lt;
-    NOC_ASSERT(!lt.has_value());
-    lt = copy;
+    NOC_ASSERT(!op.lt.has_value());
+    op.lt = copy;
     return;
   }
   // Fused ST+LT: the copy is on the wire this cycle.
@@ -241,31 +239,29 @@ void Router::forward_copy(Cycle now, const Flit& f, const GrantOut& go) {
   else
     ++energy_->link_traversals;
   metrics_->on_link_flit(node_, go.out);
-  out_ch->send(now, copy);
+  op.link->flit.send(now, copy);
 }
 
 void Router::send_lookahead(Cycle now, const Flit& f, const GrantOut& go) {
   if (!cfg_.has_bypass() || go.out == PortDir::Local) return;
-  auto* la_ch = in_[static_cast<size_t>(port_index(go.out))].ch.la_out;
-  if (la_ch == nullptr) return;
-  // Aggregate-init so the flit is copy-constructed from f directly rather
-  // than default-constructed and then overwritten.
-  Lookahead la{port_index(opposite(go.out)), f};
-  la.flit.branch_mask = go.dests;
-  la.flit.vc = go.ds_vc;
-  la.flit.rc = downstream_rc(f, go);
-  la_ch->send(now, la);
+  Link* out = out_[static_cast<size_t>(port_index(go.out))].link;
+  NOC_ASSERT(out != nullptr);
+  Flit la = f;
+  la.branch_mask = go.dests;
+  la.vc = go.ds_vc;
+  la.rc = downstream_rc(f, go);
+  out->la.send(now, la);
   ++energy_->lookaheads_sent;
 }
 
 void Router::send_credit_upstream(Cycle now, int port, int vc, bool vc_free) {
-  auto* ch = in_[static_cast<size_t>(port)].ch.credit_out;
-  NOC_ASSERT(ch != nullptr);
+  Link* out = out_[static_cast<size_t>(port)].link;
+  NOC_ASSERT(out != nullptr);
   Credit c;
   c.vc = vc;
   c.slot = true;
   c.vc_free = vc_free;
-  ch->send(now, c);
+  out->credit.send(now, c);
 }
 
 int Router::serviceable_seq(const InputVc& ivc) const {
@@ -315,14 +311,13 @@ void Router::phase_st_and_bw(Cycle now) {
     for (int o = 0; o < kNumPorts; ++o) {
       auto& op = out_[static_cast<size_t>(o)];
       if (!op.lt.has_value()) continue;
-      auto* ch = in_[static_cast<size_t>(o)].ch.flit_out;
-      NOC_ASSERT(ch != nullptr);
+      NOC_ASSERT(op.link != nullptr);
       if (port_dir(o) == PortDir::Local)
         ++energy_->nic_link_traversals;
       else
         ++energy_->link_traversals;
       metrics_->on_link_flit(node_, port_dir(o));
-      ch->send(now, *op.lt);
+      op.link->flit.send(now, *op.lt);
       op.lt.reset();
     }
   }
@@ -349,8 +344,8 @@ void Router::phase_st_and_bw(Cycle now) {
   // Arriving flits: bypass or buffer-write.
   for (int p = 0; p < kNumPorts; ++p) {
     auto& ip = in_[static_cast<size_t>(p)];
-    if (!ip.connected || ip.ch.flit_in == nullptr) continue;
-    const auto& arrivals = ip.ch.flit_in->arrivals();
+    if (ip.link == nullptr) continue;
+    const auto& arrivals = ip.link->flit.arrivals();
     NOC_ASSERT(arrivals.size() <= 1);  // one flit per link per cycle
     if (arrivals.empty()) {
       NOC_ASSERT(!ip.bypass.valid);  // a lookahead always precedes its flit
@@ -427,21 +422,20 @@ void Router::process_lookaheads(Cycle now,
     int p = rot + off;
     if (p >= kNumPorts) p -= kNumPorts;
     auto& ip = in_[static_cast<size_t>(p)];
-    if (!ip.connected || ip.ch.la_in == nullptr) continue;
-    for (const Lookahead& la : ip.ch.la_in->arrivals()) {
-      NOC_ASSERT(la.in_port == p);
+    if (ip.link == nullptr) continue;
+    for (const Flit& la : ip.link->la.arrivals()) {
       ++energy_->sa2_arbitrations;
-      auto& ivc = ip.vcs[static_cast<size_t>(la.flit.vc)];
+      auto& ivc = ip.vcs[static_cast<size_t>(la.vc)];
 
       // Install route state for an incoming head even if the bypass fails:
       // NRC was already performed upstream, the flit will need it either way.
-      if (is_head(la.flit.type) && !ivc.busy())
-        open_packet_state(now, p, la.flit);
+      if (is_head(la.type) && !ivc.busy())
+        open_packet_state(now, p, la);
 
       if (in_claimed[static_cast<size_t>(p)]) continue;
       if (!ivc.busy() || !ivc.empty()) continue;  // order would be violated
       // With an empty FIFO all unfinished branches sit at the same seq.
-      if (ivc.current_seq() != la.flit.seq) continue;
+      if (ivc.current_seq() != la.seq) continue;
       // Packets carrying a drop branch take the buffered path only: the
       // fault sweep consumes their flits from the FIFO, and a bypass copy
       // would race it (docs/FAULTS.md).
@@ -457,7 +451,7 @@ void Router::process_lookaheads(Cycle now,
       want.clear();
       grantable.clear();
       for (auto& b : ivc.branches()) {
-        if (b.tail_sent || b.next_seq != la.flit.seq) continue;
+        if (b.tail_sent || b.next_seq != la.seq) continue;
         want.push_back(&b);
         const int o = port_index(b.out);
         if (out_claimed[static_cast<size_t>(o)]) continue;
@@ -471,7 +465,7 @@ void Router::process_lookaheads(Cycle now,
         // Class-aware VA: an Adaptive flit bypasses only through its
         // primary (Free) lane on the pre-aimed port -- the escape fallback
         // stays on the buffered path, where VA re-aims every retry.
-        if (vc < 0 && !ds.has_free_vc(la.flit.mc, branch_lane(ivc.rc(), b.out)))
+        if (vc < 0 && !ds.has_free_vc(la.mc, branch_lane(ivc.rc(), b.out)))
           continue;
         if (vc >= 0 && !ds.has_credit(vc)) continue;
         grantable.push_back(GrantOut{b.out, vc, b.dests});
@@ -482,7 +476,7 @@ void Router::process_lookaheads(Cycle now,
       // Multi-flit multicasts may only bypass on a full grant: a partial
       // grant would acquire a subset of branch VCs, reintroducing the
       // hold-and-wait deadlock that atomic VA exists to prevent.
-      if (!full && la.flit.packet_len > 1 && want.size() > 1) continue;
+      if (!full && la.packet_len > 1 && want.size() > 1) continue;
 
       // Commit the grant, built in place (the latch is always invalid by
       // the time phase_sa2 runs: phase_st_and_bw consumed any prior grant).
@@ -490,8 +484,8 @@ void Router::process_lookaheads(Cycle now,
       BypassGrant& grant = ip.bypass;
       grant.outs.clear();
       grant.valid = true;
-      grant.vc = la.flit.vc;
-      grant.seq = la.flit.seq;
+      grant.vc = la.vc;
+      grant.seq = la.seq;
       grant.full = full;
       for (auto& go : grantable) {
         auto& ds = out_[static_cast<size_t>(port_index(go.out))].ds;
@@ -501,20 +495,19 @@ void Router::process_lookaheads(Cycle now,
           if (w->out == go.out) br = w;
         NOC_ASSERT(br != nullptr);
         if (go.ds_vc < 0) {
-          go.ds_vc = ds.allocate_vc(la.flit.mc, branch_lane(ivc.rc(), go.out));
+          go.ds_vc = ds.allocate_vc(la.mc, branch_lane(ivc.rc(), go.out));
           NOC_ASSERT(go.ds_vc >= 0);
           br->ds_vc = go.ds_vc;
           ++energy_->vc_allocations;
         }
         ds.consume_credit(go.ds_vc);
         out_claimed[static_cast<size_t>(port_index(go.out))] = true;
-        advance_branch(*br, la.flit);
-        send_lookahead(now, la.flit, go);
+        advance_branch(*br, la);
+        send_lookahead(now, la, go);
         grant.outs.push_back(go);
       }
-      if (metrics_->tracing(la.flit.logical_id))
-        metrics_->on_trace(TraceEventType::SaGrant, now, la.flit.logical_id,
-                           node_);
+      if (metrics_->tracing(la.logical_id))
+        metrics_->on_trace(TraceEventType::SaGrant, now, la.logical_id, node_);
       in_claimed[static_cast<size_t>(p)] = true;
     }
   }

@@ -76,30 +76,39 @@ struct RouterConfig {
   }
 };
 
-/// Lookahead signal (paper: 15 bits -- output-port vector from NRC plus VC
-/// and head metadata). We carry the full flit descriptor; only information
-/// the hardware encodes or can derive from the header is used.
-struct Lookahead {
-  int in_port = 0;  // input port at the receiving router
-  Flit flit;        // the flit that will arrive next cycle (vc/branch_mask set)
+/// One directed hop between neighbours (router->router, NIC->router or
+/// router->NIC): every wire the sender drives toward the receiver (paper
+/// Fig 3). The credit wire returns credits for flits travelling the other
+/// way. The lookahead wire (paper: 15 bits -- output-port vector from NRC
+/// plus VC and head metadata) carries the full descriptor of the flit that
+/// arrives next cycle; only information the hardware encodes or can derive
+/// from the header is used. It is latency 0 on the NIC->router hop (the NIC
+/// abuts its router) and unused where nothing bypasses. The receiving port
+/// is the port the link is wired to.
+struct Link {
+  explicit Link(int la_latency = 1) : la(la_latency) {}
+
+  /// Apply fn to each of the three wires (the Network's per-link walks).
+  template <typename Fn>
+  void for_each_channel(Fn&& fn) {
+    fn(flit);
+    fn(credit);
+    fn(la);
+  }
+
+  Channel<Flit> flit{1};
+  Channel<Credit> credit{1};
+  Channel<Flit> la;
 };
 
 class Router {
  public:
-  /// External wiring for one port, owned by the Network.
-  struct PortChannels {
-    Channel<Flit>* flit_in = nullptr;
-    Channel<Flit>* flit_out = nullptr;
-    Channel<Credit>* credit_in = nullptr;   // credits from downstream
-    Channel<Credit>* credit_out = nullptr;  // credits to upstream
-    Channel<Lookahead>* la_in = nullptr;
-    Channel<Lookahead>* la_out = nullptr;
-  };
-
   Router(NodeId node, const MeshGeometry& geom, const RouterConfig& cfg,
          EnergyCounters* energy, MetricsRecorder* metrics);
 
-  void connect(PortDir port, const PortChannels& ch);
+  /// Wire one port, owned by the Network: `in` arrives from the neighbour
+  /// (or NIC) on that side, `out` leaves toward it.
+  void connect(PortDir port, Link* in, Link* out);
 
   /// One clock cycle. Phases: credits -> ST/BW -> SA-II(+lookaheads) ->
   /// SA-I/VA -> occupancy accounting.
@@ -178,8 +187,7 @@ class Router {
     int stage2_vc = -1;  // mSA-I winner awaiting mSA-II (stage-2 candidate)
     StLatch st;          // executes at the next tick's ST phase
     BypassGrant bypass;  // applies to the flit arriving next tick
-    PortChannels ch;
-    bool connected = false;
+    Link* link = nullptr;  // arriving wires; null on mesh-edge ports
   };
 
   struct OutputPort {
@@ -187,6 +195,7 @@ class Router {
     MatrixArbiter sa2{kNumPorts};
     /// LT latch for the FourStage pipeline (ST fills it, LT drains it).
     std::optional<Flit> lt;
+    Link* link = nullptr;  // departing wires; null on mesh-edge ports
   };
 
   // --- phases ---

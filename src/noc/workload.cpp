@@ -79,7 +79,7 @@ std::shared_ptr<Trace> load_trace(const std::string& path,
       int kx = 0, ky = 0;
       if (std::sscanf(line, "# noc-trace v2 geometry %dx%d", &kx, &ky) == 2) {
         if (kx < 2 || kx > kMaxMeshRadix || ky < 2 || ky > kMaxMeshRadix ||
-            kx * ky > DestMask::kCapacity)
+            kx * ky > DestMask::kBits)
           return trace_fail(f, error, path, lineno,
                             "trace geometry out of range");
         trace->kx = kx;
@@ -97,7 +97,7 @@ std::shared_ptr<Trace> load_trace(const std::string& path,
     if (std::sscanf(line, "%" SCNd64 " %d %65s %d %d", &r.cycle, &r.src,
                     mask_hex, &r.length, &mc) != 5 ||
         !DestMask::from_hex(mask_hex, r.dest_mask) || r.cycle < 0 ||
-        r.src < 0 || r.src >= DestMask::kCapacity || r.dest_mask.none() ||
+        r.src < 0 || r.src >= DestMask::kBits || r.dest_mask.none() ||
         r.length < 1 || r.length > kMaxPacketFlits || mc < 0 ||
         mc >= kNumMsgClasses)
       return trace_fail(f, error, path, lineno, "malformed trace record");

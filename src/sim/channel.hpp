@@ -16,11 +16,14 @@
 //
 // Activity contract (docs/PERF.md "activity-gated stepping"): a channel
 // holding any message must receive begin_cycle for every consecutive cycle
-// until it is fully drained -- the Network keeps such channels on its active
-// list. While a channel is drained, begin_cycle may be skipped entirely:
-// every slot is empty, so send() simply fast-forwards the ring to the
-// current cycle. An ungated Network calls begin_cycle on every channel every
-// cycle, which trivially satisfies the contract.
+// until it is fully drained. The Network groups a hop's flit, credit and
+// lookahead channels into one Link (noc/router.hpp) and keeps the link on
+// its active list while any of them holds messages; its sweep calls
+// begin_cycle only on the link's channels that hold messages. While a
+// channel is drained, begin_cycle may be skipped entirely: every slot is
+// empty, so send() simply fast-forwards the ring to the current cycle. An
+// ungated Network calls begin_cycle on every channel every cycle, which
+// trivially satisfies the contract.
 
 #include <span>
 #include <utility>
@@ -43,8 +46,8 @@ class Channel {
   int latency() const { return latency_; }
 
   /// Activity wiring (installed by a gating Network): the channel inserts
-  /// itself into `reg` under `id` whenever it holds messages, and
-  /// `items_counter` (shared across all of a Network's channels) tracks the
+  /// `id` (its link's id) into `reg` whenever it holds messages, and
+  /// `items_counter` (shared by every channel its span owns) tracks the
   /// aggregate in-flight count for O(1) quiescence checks. Either pointer
   /// may be null.
   void set_activity(ActiveList* reg, int id, int64_t* items_counter) {

@@ -170,6 +170,7 @@ TEST(BitMask, RandomizedIncrementalVsRecomputeNarrow) {
 TEST(BitMask, RandomizedIncrementalVsRecomputeMultiWord) {
   random_cross_check<80>(0x5eed03);
   random_cross_check<130>(0x5eed04);
+  random_cross_check<256>(0x5eed05);  // DestMask
 }
 
 // DownstreamState keeps free/credit availability as incrementally-updated

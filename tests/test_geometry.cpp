@@ -71,7 +71,7 @@ TEST(Geometry, LargeKMasksSpanWords) {
   }
   // k=16 fills the capacity exactly.
   MeshGeometry g16(16);
-  EXPECT_EQ(g16.all_nodes_mask().count(), DestMask::kCapacity);
+  EXPECT_EQ(g16.all_nodes_mask().count(), DestMask::kBits);
   EXPECT_EQ(g16.all_nodes_mask(), ~DestMask{});
 }
 
@@ -98,6 +98,11 @@ TEST(DestMaskOps, HexRoundTripAcrossWords) {
   EXPECT_FALSE(DestMask::from_hex(
       "10000000000000000000000000000000000000000000000000000000000000000",
       back));  // 65 digits: wider than capacity
+  // A width that is not a multiple of 4 rejects digits above kBits.
+  BitMask<5> narrow;
+  ASSERT_TRUE(BitMask<5>::from_hex("1f", narrow));
+  EXPECT_EQ(narrow, BitMask<5>::first_n(5));
+  EXPECT_FALSE(BitMask<5>::from_hex("3f", narrow));
 }
 
 TEST(DestMaskOps, IterationAndSetAlgebra) {
@@ -187,8 +192,8 @@ TEST(RectGeometry, DistancesAndMasks) {
 TEST(RectGeometry, CapacityBoundedShapes) {
   // Any shape fits as long as the node count does: a 2x128 strip is the
   // DestMask capacity exactly; 16x16 remains the square maximum.
-  EXPECT_EQ(MeshGeometry(2, 128).num_nodes(), DestMask::kCapacity);
-  EXPECT_EQ(MeshGeometry(128, 2).num_nodes(), DestMask::kCapacity);
+  EXPECT_EQ(MeshGeometry(2, 128).num_nodes(), DestMask::kBits);
+  EXPECT_EQ(MeshGeometry(128, 2).num_nodes(), DestMask::kBits);
   EXPECT_EQ(MeshGeometry(16, 16).num_nodes(), 256);
 }
 

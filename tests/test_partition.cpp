@@ -92,11 +92,11 @@ TEST(SpanPartition, ClampSpans) {
 }
 
 // The Network-level ownership invariant: with step_threads > 1 every
-// channel id appears on exactly one span's owned list, and the deferred
-// (cross-span) subset is exactly 6 channels per boundary-crossing adjacent
-// router pair (flit + credit + lookahead, both directions) -- NIC and
-// North/South channels never cross.
-TEST(NetworkPartition, EveryChannelOwnedExactlyOnceAndBoundariesExact) {
+// link id appears on exactly one span's owned list, and the deferred
+// (cross-span) subset is exactly 2 links per boundary-crossing adjacent
+// router pair (one per direction, each carrying flit + credit +
+// lookahead) -- NIC and North/South links never cross.
+TEST(NetworkPartition, EveryLinkOwnedExactlyOnceAndBoundariesExact) {
   struct Case {
     int k, ky, step_threads;
   };
@@ -111,29 +111,29 @@ TEST(NetworkPartition, EveryChannelOwnedExactlyOnceAndBoundariesExact) {
     const int spans = net.num_step_spans();
     ASSERT_GT(spans, 1);
 
-    std::vector<int> owners(static_cast<size_t>(net.num_channels()), 0);
+    std::vector<int> owners(static_cast<size_t>(net.num_links()), 0);
     std::set<NodeId> nodes_seen;
     int cross_total = 0;
     for (int s = 0; s < spans; ++s) {
-      for (int id : net.span_channel_ids(s)) {
+      for (int id : net.span_link_ids(s)) {
         ASSERT_GE(id, 0);
-        ASSERT_LT(id, net.num_channels());
+        ASSERT_LT(id, net.num_links());
         ++owners[static_cast<size_t>(id)];
       }
       for (NodeId node : net.span_nodes(s)) {
         EXPECT_TRUE(nodes_seen.insert(node).second)
             << "node " << node << " in two spans";
       }
-      cross_total += net.span_cross_channel_count(s);
+      cross_total += net.span_cross_link_count(s);
     }
     for (size_t id = 0; id < owners.size(); ++id)
-      EXPECT_EQ(owners[id], 1) << "channel " << id;
+      EXPECT_EQ(owners[id], 1) << "link " << id;
     EXPECT_EQ(static_cast<int>(nodes_seen.size()), net.geom().num_nodes());
 
-    // Exact boundary census: each crossing E/W adjacency contributes 2
-    // flit + 2 credit + 2 lookahead channels (proposed() has bypass).
+    // Exact boundary census: each crossing E/W adjacency contributes one
+    // link per direction.
     const int boundaries = spans - 1;
-    EXPECT_EQ(cross_total, 6 * net.geom().ky() * boundaries);
+    EXPECT_EQ(cross_total, 2 * net.geom().ky() * boundaries);
   }
 }
 
@@ -145,15 +145,15 @@ TEST(NetworkPartition, SingleSpanIsSerial) {
   EXPECT_EQ(net.num_step_spans(), 1);
   EXPECT_EQ(net.step_workers(), 1);
   // Serial stepping is the one-span schedule: that span owns every node
-  // and every channel, and nothing crosses a span boundary.
+  // and every link, and nothing crosses a span boundary.
   const int n = net.geom().num_nodes();
   std::vector<NodeId> all_nodes(static_cast<size_t>(n));
   std::iota(all_nodes.begin(), all_nodes.end(), 0);
   EXPECT_EQ(net.span_nodes(0), all_nodes);
-  std::vector<int> all_channels(static_cast<size_t>(net.num_channels()));
-  std::iota(all_channels.begin(), all_channels.end(), 0);
-  EXPECT_EQ(net.span_channel_ids(0), all_channels);
-  EXPECT_EQ(net.span_cross_channel_count(0), 0);
+  std::vector<int> all_links(static_cast<size_t>(net.num_links()));
+  std::iota(all_links.begin(), all_links.end(), 0);
+  EXPECT_EQ(net.span_link_ids(0), all_links);
+  EXPECT_EQ(net.span_cross_link_count(0), 0);
   ASSERT_EQ(net.partition().num_spans(), 1);
   EXPECT_EQ(net.partition().columns_of(0), std::make_pair(0, 4));
   for (NodeId node = 0; node < n; ++node)

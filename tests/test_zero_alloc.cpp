@@ -206,10 +206,10 @@ TEST(ZeroAlloc, LargeK12ClosedLoopSteadyState) {
 
 TEST(ZeroAlloc, ParallelSteppingSteadyState) {
   // Span stepping (docs/PERF.md Layers 3-4): per-span scratch (active
-  // lists, masks, staging buffers, capture shards) is preallocated at
-  // partition time or grown during warmup; the steady-state loop itself
-  // must never touch the heap, on one span (serial) or under the barrier
-  // schedule. Force a real budget so the threaded schedule actually runs
+  // lists, masks, staging buffers, recorder capture buffers) is
+  // preallocated at partition time or grown during warmup; the steady-state
+  // loop itself must never touch the heap, on one span (serial) or under
+  // the barrier schedule. Force a real budget so the threaded schedule actually runs
   // even on small CI hosts.
   const int saved = noc::thread_budget::total();
   noc::thread_budget::set_total(8);
